@@ -60,7 +60,7 @@ func BenchmarkTable4WN18(b *testing.B)          { benchExperiment(b, "table4") }
 func BenchmarkTable5Freebase(b *testing.B)      { benchExperiment(b, "table5") }
 func BenchmarkFig5Convergence(b *testing.B)     { benchExperiment(b, "fig5") }
 func BenchmarkFig6Scalability(b *testing.B)     { benchExperiment(b, "fig6") }
-func BenchmarkFig7Breakdown(b *testing.B)       { benchExperiment(b, "fig7") }
+func BenchmarkFig7CompComm(b *testing.B)        { benchExperiment(b, "fig7") }
 func BenchmarkFig8aCacheSize(b *testing.B)      { benchExperiment(b, "fig8a") }
 func BenchmarkFig8bStaleness(b *testing.B)      { benchExperiment(b, "fig8b") }
 func BenchmarkFig8cEntityRatio(b *testing.B)    { benchExperiment(b, "fig8c") }

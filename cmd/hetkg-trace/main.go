@@ -1,11 +1,11 @@
 // hetkg-trace inspects training-run recordings.
 //
-// Compare mode (the default) aligns per-epoch columns of runs recorded with
-// hetkg-train -trace and renders an ASCII sparkline per run, for quick
-// convergence comparison without leaving the terminal:
+// Compare mode (the default) aligns the end-of-epoch records of timelines
+// recorded with hetkg-train -timeline and renders an ASCII sparkline per
+// run, for quick convergence comparison without leaving the terminal:
 //
-//	hetkg-train -dataset fb15k -system dglke   -trace a.jsonl
-//	hetkg-train -dataset fb15k -system hetkg-d -trace b.jsonl
+//	hetkg-train -dataset fb15k -system dglke   -timeline a.jsonl
+//	hetkg-train -dataset fb15k -system hetkg-d -timeline b.jsonl
 //	hetkg-trace a.jsonl b.jsonl
 //
 // Spans mode analyzes per-batch span dumps recorded with hetkg-train -span:
@@ -31,8 +31,8 @@ import (
 	"strings"
 	"time"
 
+	"hetkg/internal/metrics"
 	"hetkg/internal/span"
-	"hetkg/internal/trace"
 )
 
 func main() {
@@ -65,8 +65,8 @@ func main() {
 	}
 }
 
-// epochValue extracts one comparison metric from an epoch line.
-func epochValue(e trace.Epoch, metric string) (float64, error) {
+// epochValue extracts one comparison metric from an epoch record.
+func epochValue(e metrics.TimelineRecord, metric string) (float64, error) {
 	switch metric {
 	case "mrr":
 		return e.MRR, nil
@@ -82,7 +82,7 @@ func epochValue(e trace.Epoch, metric string) (float64, error) {
 }
 
 // compareRuns renders the aligned per-epoch table and sparklines for the
-// given trace files.
+// given timeline files.
 func compareRuns(w io.Writer, metric string, paths []string) error {
 	type loaded struct {
 		name string
@@ -91,15 +91,20 @@ func compareRuns(w io.Writer, metric string, paths []string) error {
 	var runs []loaded
 	maxEpochs := 0
 	for _, path := range paths {
-		r, err := trace.ReadFile(path)
+		r, err := metrics.ReadTimelineFile(path)
 		if err != nil {
 			return err
 		}
-		vals := make([]float64, len(r.Epochs))
-		for i, e := range r.Epochs {
-			if vals[i], err = epochValue(e, metric); err != nil {
+		var vals []float64
+		for _, rec := range r.Records {
+			if !rec.EpochEnd {
+				continue
+			}
+			v, err := epochValue(rec, metric)
+			if err != nil {
 				return err
 			}
+			vals = append(vals, v)
 		}
 		name := fmt.Sprintf("%s/%s", r.Header.System, r.Header.Dataset)
 		runs = append(runs, loaded{name: name, vals: vals})

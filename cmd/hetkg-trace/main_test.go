@@ -10,17 +10,32 @@ import (
 
 	"hetkg/internal/metrics"
 	"hetkg/internal/span"
-	"hetkg/internal/trace"
-	"hetkg/internal/train"
 )
 
-func writeTrace(t *testing.T, name, system string, epochs []metrics.EpochStat) string {
+// writeTimeline records a timeline whose end-of-epoch records carry epochs,
+// with an iteration record ahead of each so compare mode must skip them.
+func writeTimeline(t *testing.T, name, system string, epochs []metrics.EpochStat) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), name)
-	err := trace.WriteFile(path, trace.Header{Dataset: "fb15k", Seed: 7},
-		&train.Result{System: system, Epochs: epochs})
+	var buf bytes.Buffer
+	em, err := metrics.NewTimelineEmitter(&buf, metrics.NewRegistry(),
+		metrics.TimelineHeader{System: system, Dataset: "fb15k", Seed: 7})
 	if err != nil {
-		t.Fatalf("writing trace: %v", err)
+		t.Fatal(err)
+	}
+	for i, e := range epochs {
+		if err := em.Emit(metrics.TimelineRecord{Iter: 10*i + 5, Epoch: e.Epoch, Loss: 99}); err != nil {
+			t.Fatal(err)
+		}
+		if err := em.EmitEpoch(10*(i+1), e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := em.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	return path
 }
@@ -30,10 +45,11 @@ func writeFileString(path, s string) error {
 }
 
 func TestCompareRunsTableAndSparkline(t *testing.T) {
-	a := writeTrace(t, "a.jsonl", "DGL-KE", []metrics.EpochStat{
-		{Epoch: 1, Loss: 5, MRR: 0.1}, {Epoch: 2, Loss: 2, MRR: 0.3},
+	a := writeTimeline(t, "a.jsonl", "DGL-KE", []metrics.EpochStat{
+		{Epoch: 1, Loss: 5, MRR: 0.1, Comm: 1500 * time.Microsecond, HitRatio: 0.25},
+		{Epoch: 2, Loss: 2, MRR: 0.3, Comm: 2 * time.Millisecond, HitRatio: 0.5},
 	})
-	b := writeTrace(t, "b.jsonl", "HET-KG-D", []metrics.EpochStat{
+	b := writeTimeline(t, "b.jsonl", "HET-KG-D", []metrics.EpochStat{
 		{Epoch: 1, Loss: 4, MRR: 0.2}, {Epoch: 2, Loss: 1.5, MRR: 0.4}, {Epoch: 3, Loss: 1, MRR: 0.5},
 	})
 
@@ -66,10 +82,18 @@ func TestCompareRunsTableAndSparkline(t *testing.T) {
 		}
 	}
 
-	// Every documented metric selects its own column.
-	for _, m := range []string{"loss", "comm_ms", "hit_ratio"} {
-		if err := compareRuns(&bytes.Buffer{}, m, []string{a}); err != nil {
+	// Every documented metric selects its own column, from the epoch
+	// records only: the iteration records' loss of 99 never shows.
+	for m, want := range map[string]string{
+		"loss":      "    5.000    2.000\n",
+		"comm_ms":   "    1.500    2.000\n",
+		"hit_ratio": "    0.250    0.500\n",
+	} {
+		var mb bytes.Buffer
+		if err := compareRuns(&mb, m, []string{a}); err != nil {
 			t.Errorf("metric %q rejected: %v", m, err)
+		} else if !strings.Contains(mb.String(), want) {
+			t.Errorf("metric %q: output missing %q:\n%s", m, want, mb.String())
 		}
 	}
 }
@@ -81,7 +105,7 @@ func TestCompareRunsErrors(t *testing.T) {
 	}
 
 	bad := filepath.Join(t.TempDir(), "bad.jsonl")
-	if err := writeFileString(bad, `{"kind":"hetkg-timeline/v1"}`+"\n"); err != nil {
+	if err := writeFileString(bad, `{"kind":"hetkg-spans/v1"}`+"\n"); err != nil {
 		t.Fatal(err)
 	}
 	if err := compareRuns(&buf, "mrr", []string{bad}); err == nil {
@@ -90,7 +114,7 @@ func TestCompareRunsErrors(t *testing.T) {
 		t.Errorf("kind error not descriptive: %v", err)
 	}
 
-	good := writeTrace(t, "good.jsonl", "DGL-KE", []metrics.EpochStat{{Epoch: 1, MRR: 0.1}})
+	good := writeTimeline(t, "good.jsonl", "DGL-KE", []metrics.EpochStat{{Epoch: 1, MRR: 0.1}})
 	if err := compareRuns(&buf, "f1", []string{good}); err == nil {
 		t.Error("unknown metric accepted")
 	} else if !strings.Contains(err.Error(), "f1") {
@@ -151,10 +175,10 @@ func TestSpansReport(t *testing.T) {
 	if err := spansReport(&buf, []string{"/nonexistent/s.jsonl"}, 0); err == nil {
 		t.Error("missing span file accepted")
 	}
-	// A trace file is not a span dump: the kind check must reject it.
-	tr := writeTrace(t, "run.jsonl", "DGL-KE", []metrics.EpochStat{{Epoch: 1}})
-	if err := spansReport(&buf, []string{tr}, 0); err == nil {
-		t.Error("hetkg-trace/v1 file accepted as span dump")
+	// A timeline is not a span dump: the kind check must reject it.
+	tl := writeTimeline(t, "run.jsonl", "DGL-KE", []metrics.EpochStat{{Epoch: 1}})
+	if err := spansReport(&buf, []string{tl}, 0); err == nil {
+		t.Error("hetkg-timeline/v1 file accepted as span dump")
 	}
 }
 

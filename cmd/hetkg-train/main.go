@@ -22,7 +22,6 @@ import (
 	"hetkg"
 	"hetkg/internal/artifact"
 	"hetkg/internal/plan"
-	"hetkg/internal/trace"
 )
 
 func main() {
@@ -41,8 +40,7 @@ func main() {
 		rpcRetry = flag.Int("rpc-retries", 0, "retry budget per remote-shard RPC after a link failure (0 = default 3, negative disables)")
 		degStale = flag.Int("degraded-max-staleness", 0, "ride out shard outages by serving cached rows up to this many iterations stale and buffering pushes for replay (0 = fail fast; hetkg-c/hetkg-d only)")
 		artDir   = flag.String("artifacts", "", "serve dataset generation and partitioning from this content-addressed cache directory")
-		traceOut = flag.String("trace", "", "write a per-epoch JSONL trace to this file")
-		timeline = flag.String("timeline", "", "write a per-iteration JSONL timeline to this file")
+		timeline = flag.String("timeline", "", "write a JSONL timeline (iteration and end-of-epoch records) to this file")
 		tlEvery  = flag.Int("timeline-every", 0, "iterations between timeline records (0 = default)")
 		spanOut  = flag.String("span", "", "trace every Nth batch per worker and write the spans to this file")
 		spanN    = flag.Int("span-every", 0, "batch sampling interval for -span (0 = default 16)")
@@ -167,20 +165,6 @@ func main() {
 		} else {
 			fmt.Printf("analyze with: hetkg-trace spans %s\n", *spanOut)
 		}
-	}
-	if *traceOut != "" {
-		err := trace.WriteFile(*traceOut, trace.Header{
-			Dataset:  spec.Dataset,
-			Model:    spec.Model,
-			Dim:      res.Entities.Dim,
-			Machines: spec.Machines,
-			Seed:     spec.Seed,
-		}, res)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace written to %s\n", *traceOut)
 	}
 	if *save != "" {
 		err := hetkg.WriteCheckpoint(*save, &hetkg.Checkpoint{

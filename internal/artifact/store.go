@@ -93,9 +93,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Hits returns how many Gets were served from disk since Open.
 func (s *Store) Hits() int64 { return s.hits.Load() }
 

@@ -97,9 +97,6 @@ type RunConfig struct {
 	EntityFraction   float64
 	NoHeterogeneity  bool // HET-KG-N of Table VII
 	DisableCacheSync bool // force unbounded staleness
-	// Quantize8Bit compresses wire payloads to 8 bits (extension; the
-	// legacy spelling of Codec: "int8").
-	Quantize8Bit bool
 	// Codec names the negotiated wire-codec profile for worker↔PS links:
 	// "fp32" (default), "fp16", "int8", "delta-int8", "topk", or "auto".
 	// With ShardAddrs set the profile is negotiated in each connection's
@@ -395,7 +392,6 @@ func Run(rc RunConfig) (*train.Result, error) {
 		TimelineEvery:        rc.TimelineEvery,
 		Seed:                 rc.Seed,
 		NewOptimizer:         newOpt,
-		Quantize8Bit:         rc.Quantize8Bit,
 		Codec:                rc.Codec,
 		TopKRatio:            rc.TopKRatio,
 		DegradedMaxStaleness: rc.DegradedMaxStaleness,
@@ -417,9 +413,6 @@ func Run(rc RunConfig) (*train.Result, error) {
 		}
 		addrs := rc.ShardAddrs
 		codec := rc.Codec
-		if codec == "" && rc.Quantize8Bit {
-			codec = ps.ProfileInt8
-		}
 		lcfg := rc.linkConfig()
 		tc.NewTransport = func(*ps.Cluster) (ps.Transport, error) {
 			return ps.DialTCPLink(addrs, codec, lcfg)

@@ -1,26 +1,33 @@
 package core
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"hetkg/internal/ckpt"
 	"hetkg/internal/dataset"
+	"hetkg/internal/metrics"
 )
 
 func tinyOpts() Options {
 	return Options{Scale: dataset.Tiny, Seed: 7}
 }
 
+// TestRunAllSystemsTiny trains every system and checks its -timeline file:
+// one end-of-epoch record per Result.Epochs entry, the last one in the file.
 func TestRunAllSystemsTiny(t *testing.T) {
 	for _, sys := range Systems() {
 		t.Run(string(sys), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "timeline.jsonl")
 			res, err := Run(RunConfig{
-				Dataset: "fb15k",
-				Scale:   dataset.Tiny,
-				System:  sys,
-				Epochs:  2,
-				Seed:    7,
+				Dataset:      "fb15k",
+				Scale:        dataset.Tiny,
+				System:       sys,
+				Epochs:       2,
+				Seed:         7,
+				TimelinePath: path,
 			})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
@@ -33,6 +40,34 @@ func TestRunAllSystemsTiny(t *testing.T) {
 			}
 			if res.Final.MRR <= 0 {
 				t.Errorf("MRR = %v", res.Final.MRR)
+			}
+
+			tl, err := metrics.ReadTimelineFile(path)
+			if err != nil {
+				t.Fatalf("ReadTimelineFile: %v", err)
+			}
+			if tl.Header.System != res.System {
+				t.Errorf("timeline system = %q, want %q", tl.Header.System, res.System)
+			}
+			var ends []metrics.TimelineRecord
+			for _, rec := range tl.Records {
+				if rec.EpochEnd {
+					ends = append(ends, rec)
+				}
+			}
+			if len(ends) != len(res.Epochs) {
+				t.Fatalf("timeline has %d epoch records, want %d", len(ends), len(res.Epochs))
+			}
+			for i, e := range res.Epochs {
+				got := ends[i]
+				if got.Epoch != e.Epoch || got.Loss != e.Loss || got.MRR != e.MRR ||
+					got.HitRatio != e.HitRatio || got.CommMS != float64(e.Comm)/float64(time.Millisecond) {
+					t.Errorf("epoch record %d = %+v, want %+v", i, got, e)
+				}
+			}
+			last := tl.Records[len(tl.Records)-1]
+			if !last.EpochEnd || last.MRR != res.Final.MRR {
+				t.Errorf("last record = %+v, want the final epoch with mrr %v", last, res.Final.MRR)
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 
 	"hetkg/internal/cache"
@@ -76,9 +75,6 @@ func clusterSpec(rc RunConfig) (ps.ClusterConfig, error) {
 	}, nil
 }
 
-// serveShard runs a shard's accept loop (mirrors cmd/hetkg-ps's serving).
-func serveShard(l net.Listener, s *ps.Server) { ps.ServeTCP(l, s) }
-
 // runElastic joins the cluster at rc.JoinAddr and trains whatever the
 // coordinator assigns (Run's elastic-mode dispatch). The registration
 // happens here rather than in train.TrainElastic because the join reply's
@@ -114,9 +110,6 @@ func runElastic(rc RunConfig, tc train.Config) (*train.Result, error) {
 			len(join.ShardAddrs), rc.Machines)
 	}
 	codec := rc.Codec
-	if codec == "" && rc.Quantize8Bit {
-		codec = ps.ProfileInt8
-	}
 	addrs := join.ShardAddrs
 	lcfg := rc.linkConfig()
 	tc.NewTransport = func(*ps.Cluster) (ps.Transport, error) {

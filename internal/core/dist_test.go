@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hetkg/internal/dataset"
+	"hetkg/internal/ps"
 )
 
 // TestMultiProcessDeploymentMatchesLocal stands up the cmd/hetkg-ps
@@ -39,7 +40,7 @@ func TestMultiProcessDeploymentMatchesLocal(t *testing.T) {
 		defer l.Close()
 		addrs = append(addrs, l.Addr().String())
 		srv := shard
-		go serveShard(l, srv)
+		go ps.ServeTCP(l, srv)
 	}
 
 	remote := rc

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hetkg/internal/dataset"
+	"hetkg/internal/ps"
 )
 
 // TestFullyDistributedWorkers runs the complete multi-process topology:
@@ -35,7 +36,7 @@ func TestFullyDistributedWorkers(t *testing.T) {
 		}
 		defer l.Close()
 		addrs = append(addrs, l.Addr().String())
-		go serveShard(l, shard)
+		go ps.ServeTCP(l, shard)
 	}
 
 	var wg sync.WaitGroup

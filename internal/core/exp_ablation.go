@@ -7,6 +7,7 @@ import (
 	"hetkg/internal/dataset"
 	"hetkg/internal/netsim"
 	"hetkg/internal/partition"
+	"hetkg/internal/ps"
 	"hetkg/internal/sampler"
 )
 
@@ -175,20 +176,22 @@ func runAblationQuantize(o Options) (*Table, error) {
 		Title:  "HET-KG-C on fb15k-like, 4 machines: float32 vs int8 payloads",
 		Header: []string{"Wire", "RemoteBytes", "Comm", "MRR"},
 	}
-	for _, quant := range []bool{false, true} {
+	// The float32 row leaves Codec empty: the plain in-process transport,
+	// with no codec layer wrapped around it.
+	for _, codec := range []string{"", ps.ProfileInt8} {
 		name := "float32"
-		if quant {
-			name = "int8"
+		if codec != "" {
+			name = codec
 		}
 		o.logf("xablation-quantize: %s ...", name)
 		res, err := o.run(RunConfig{
-			Dataset:      "fb15k",
-			Scale:        o.Scale,
-			System:       SystemHETKGC,
-			ModelName:    "transe",
-			Epochs:       2,
-			Quantize8Bit: quant,
-			Seed:         o.Seed,
+			Dataset:   "fb15k",
+			Scale:     o.Scale,
+			System:    SystemHETKGC,
+			ModelName: "transe",
+			Epochs:    2,
+			Codec:     codec,
+			Seed:      o.Seed,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("xablation-quantize (%s): %w", name, err)

@@ -85,9 +85,6 @@ func New(m *vec.Matrix, metric Metric) (*Index, error) {
 // Rows returns the number of indexed rows.
 func (ix *Index) Rows() int { return ix.m.Rows }
 
-// Metric returns the similarity measure the index was built with.
-func (ix *Index) Metric() Metric { return ix.metric }
-
 // Scratch is reusable state for SearchInto: a caller-owned bounded heap
 // that lets the hot path of a query server run without a single allocation
 // per search. The zero Scratch is ready to use (the first search sizes it).

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 )
 
 // TimelineKind is the header discriminator of timeline files.
@@ -29,26 +30,47 @@ type TimelineHeader struct {
 // kept out of Metrics so that everything under "metrics" is bit-identical
 // across runs of the same configuration.
 type TimelineWall struct {
-	// ElapsedMS is wall-clock milliseconds since training started.
-	ElapsedMS float64 `json:"elapsed_ms"`
-	// CompMS is accumulated wall-clock gradient-computation milliseconds.
+	// ElapsedMS is wall-clock milliseconds since training started (unset
+	// on epoch records).
+	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
+	// CompMS is accumulated wall-clock gradient-computation milliseconds;
+	// on an epoch record it is the epoch's measured critical-path
+	// computation (EpochStat.Comp).
 	CompMS float64 `json:"comp_ms,omitempty"`
 	// PairsPerSec is the run's throughput so far: scored (positive,
 	// negative) pairs per wall-clock second.
 	PairsPerSec float64 `json:"pairs_per_sec,omitempty"`
 }
 
-// TimelineRecord is one emitted line: the training position, the loss, a
-// deterministic registry snapshot, and optional wall-clock readings.
+// TimelineRecord is one emitted line. An iteration record carries the
+// training position, the loss, a deterministic registry snapshot, and
+// wall-clock readings. An epoch record (EpochEnd) carries one EpochStat:
+// the deterministic fields at the top level, the measured computation
+// under Wall.
 type TimelineRecord struct {
-	// Iter is the global iteration (mini-batch rounds across all epochs).
+	// Iter is the global iteration (mini-batch rounds across all epochs);
+	// 0 on the epoch records of trainers without a global round clock
+	// (PBG, elastic).
 	Iter int `json:"iter"`
 	// Epoch is the 1-based epoch the iteration belongs to.
 	Epoch int `json:"epoch"`
-	// Loss is the mean pair loss over workers' running epoch averages.
+	// Loss is the mean pair loss over workers' running epoch averages; on
+	// an epoch record, the epoch's loss.
 	Loss float64 `json:"loss"`
-	// Metrics is the registry snapshot with timers excluded.
-	Metrics Snapshot `json:"metrics"`
+	// EpochEnd marks the end-of-epoch record, written once per epoch.
+	EpochEnd bool `json:"epoch_end,omitempty"`
+	// MRR is the epoch's validation MRR (epoch records; 0 when the epoch
+	// was not evaluated).
+	MRR float64 `json:"mrr,omitempty"`
+	// CommMS is the epoch's communication time in milliseconds, as the
+	// netsim cost model prices the metered traffic (epoch records).
+	CommMS float64 `json:"comm_ms,omitempty"`
+	// HitRatio is the epoch's hot-cache hit ratio (epoch records of the
+	// HET-KG trainers).
+	HitRatio float64 `json:"hit_ratio,omitempty"`
+	// Metrics is the registry snapshot with timers excluded (iteration
+	// records only).
+	Metrics Snapshot `json:"metrics,omitempty"`
 	// Wall holds the record's nondeterministic wall-clock readings.
 	Wall *TimelineWall `json:"wall,omitempty"`
 }
@@ -102,6 +124,24 @@ func (e *TimelineEmitter) Emit(rec TimelineRecord) error {
 	}
 	if err := e.enc.Encode(rec); err != nil {
 		return fmt.Errorf("metrics: encoding timeline record (iter %d): %w", rec.Iter, err)
+	}
+	return nil
+}
+
+// EmitEpoch writes the end-of-epoch record for s at global iteration iter.
+func (e *TimelineEmitter) EmitEpoch(iter int, s EpochStat) error {
+	rec := TimelineRecord{
+		Iter:     iter,
+		Epoch:    s.Epoch,
+		Loss:     s.Loss,
+		EpochEnd: true,
+		MRR:      s.MRR,
+		CommMS:   float64(s.Comm) / float64(time.Millisecond),
+		HitRatio: s.HitRatio,
+		Wall:     &TimelineWall{CompMS: float64(s.Comp) / float64(time.Millisecond)},
+	}
+	if err := e.enc.Encode(rec); err != nil {
+		return fmt.Errorf("metrics: encoding timeline epoch %d: %w", s.Epoch, err)
 	}
 	return nil
 }

@@ -2,6 +2,9 @@ package metrics
 
 import (
 	"bytes"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -43,6 +46,10 @@ func TestTimelineRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	epoch := EpochStat{Epoch: 1, Loss: 0.25, MRR: 0.5, Comp: 2 * time.Millisecond, Comm: 3 * time.Millisecond, HitRatio: 0.75}
+	if err := em.EmitEpoch(15, epoch); err != nil {
+		t.Fatal(err)
+	}
 	if err := em.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +62,15 @@ func TestTimelineRoundTrip(t *testing.T) {
 		run.Header.Dataset != "fb15k" || run.Header.Every != 5 || run.Header.Seed != 42 {
 		t.Fatalf("header = %+v", run.Header)
 	}
-	if len(run.Records) != 3 {
-		t.Fatalf("got %d records, want 3", len(run.Records))
+	if len(run.Records) != 4 {
+		t.Fatalf("got %d records, want 4", len(run.Records))
+	}
+	// The epoch record: deterministic fields at the top level, measured
+	// computation under wall, no registry snapshot.
+	if end := run.Records[3]; !end.EpochEnd || end.Iter != 15 || end.Epoch != 1 || end.Loss != 0.25 ||
+		end.MRR != 0.5 || end.CommMS != 3 || end.HitRatio != 0.75 || end.Metrics != nil ||
+		end.Wall == nil || end.Wall.CompMS != 2 {
+		t.Fatalf("epoch record = %+v", end)
 	}
 	last := run.Records[2]
 	if last.Iter != 15 || last.Epoch != 1 || last.Loss != 1.0/3.0 {
@@ -127,11 +141,97 @@ func TestReadTimelineToleratesTruncatedTail(t *testing.T) {
 }
 
 func TestReadTimelineRejectsOtherKinds(t *testing.T) {
-	in := `{"kind":"hetkg-trace/v1"}` + "\n"
+	in := `{"kind":"hetkg-spans/v1"}` + "\n"
 	if _, err := ReadTimeline(strings.NewReader(in)); err == nil {
 		t.Fatal("accepted a non-timeline file")
 	}
 	if _, err := ReadTimeline(strings.NewReader("")); err == nil {
 		t.Fatal("accepted an empty file")
+	}
+}
+
+func sampleEpochs() []EpochStat {
+	return []EpochStat{
+		{Epoch: 1, Loss: 5.0, MRR: 0.1, Comp: 100 * time.Millisecond, Comm: 50 * time.Millisecond, HitRatio: 0.2},
+		{Epoch: 2, Loss: 2.0, MRR: 0.2, Comp: 110 * time.Millisecond, Comm: 55 * time.Millisecond, HitRatio: 0.21},
+	}
+}
+
+func writeEpochTimeline(t *testing.T, w io.Writer, hdr TimelineHeader) {
+	t.Helper()
+	em, err := NewTimelineEmitter(w, NewRegistry(), hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range sampleEpochs() {
+		if err := em.EmitEpoch(0, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := em.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTimelineEpochRecordsRoundTrip writes only end-of-epoch records, as the
+// trainers without a global round clock (PBG, elastic) do, and checks every
+// EpochStat field the timeline keeps survives decoding.
+func TestTimelineEpochRecordsRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	writeEpochTimeline(t, &buf, TimelineHeader{System: "HET-KG-D", Dataset: "fb15k", Seed: 42})
+	run, err := ReadTimeline(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Header.System != "HET-KG-D" || run.Header.Dataset != "fb15k" || run.Header.Seed != 42 {
+		t.Fatalf("header lost fields: %+v", run.Header)
+	}
+	if len(run.Records) != 2 {
+		t.Fatalf("got %d records, want 2", len(run.Records))
+	}
+	for i, want := range sampleEpochs() {
+		got := run.Records[i]
+		if !got.EpochEnd || got.Epoch != want.Epoch || got.Loss != want.Loss || got.MRR != want.MRR ||
+			got.HitRatio != want.HitRatio || got.Metrics != nil || got.CommMS != float64(want.Comm.Milliseconds()) ||
+			got.Wall == nil || got.Wall.CompMS != float64(want.Comp.Milliseconds()) {
+			t.Errorf("epoch record %d = %+v, want %+v", i, got, want)
+		}
+	}
+}
+
+func TestTimelineFileRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeEpochTimeline(t, f, TimelineHeader{Dataset: "wn18"})
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	run, err := ReadTimelineFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Header.Dataset != "wn18" || len(run.Records) != 2 || run.Records[1].MRR != 0.2 {
+		t.Fatalf("file round trip lost data: %+v", run)
+	}
+}
+
+func TestReadTimelineRejectsGarbage(t *testing.T) {
+	header := `{"kind":"hetkg-timeline/v1","every":10}` + "\n"
+	rec := `{"epoch":1,"loss":1,"epoch_end":true}` + "\n"
+	for name, in := range map[string]string{
+		"empty":             "",
+		"non-JSON header":   "not json\n",
+		"wrong kind":        `{"kind":"other"}` + "\n",
+		"bad epoch mid-run": header + "not json\n" + rec,
+	} {
+		if _, err := ReadTimeline(strings.NewReader(in)); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	if _, err := ReadTimelineFile(filepath.Join(t.TempDir(), "missing.jsonl")); err == nil {
+		t.Error("missing file accepted")
 	}
 }

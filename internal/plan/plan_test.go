@@ -1,8 +1,11 @@
 package plan
 
 import (
+	"flag"
 	"strings"
 	"testing"
+
+	"hetkg/internal/model"
 )
 
 const samplePlan = `
@@ -134,5 +137,17 @@ func TestLoadReportsPath(t *testing.T) {
 	_, err := Load("/nonexistent/hetkg.yml")
 	if err == nil {
 		t.Fatal("Load of a missing file succeeded")
+	}
+}
+
+// TestModelFlagListsRegistry keeps the -model help in step with the model
+// registry: every name model.New accepts is offered, and nothing else.
+func TestModelFlagListsRegistry(t *testing.T) {
+	fs := flag.NewFlagSet("hetkg-train", flag.ContinueOnError)
+	BindFlags(fs)
+	usage := fs.Lookup("model").Usage
+	listed := strings.Split(strings.TrimPrefix(usage, "model: "), " | ")
+	if got, want := strings.Join(listed, ","), strings.Join(model.Names(), ","); got != want {
+		t.Errorf("-model usage %q lists %v, want %v", usage, listed, model.Names())
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"hetkg/internal/core"
 	"hetkg/internal/dataset"
+	"hetkg/internal/model"
 )
 
 // RunSpec is the declarative surface of one training run: every knob a plan
@@ -172,7 +173,7 @@ func BindFlags(fs *flag.FlagSet) *RunSpec {
 	fs.StringVar(&s.Dataset, "dataset", s.Dataset, "dataset preset: fb15k | wn18 | freebase86m")
 	fs.StringVar(&s.Scale, "scale", s.Scale, "dataset scale: tiny | small | paper")
 	fs.StringVar(&s.System, "system", s.System, "system: pbg | dglke | hetkg-c | hetkg-d")
-	fs.StringVar(&s.Model, "model", s.Model, "model: transe | transe_l2 | distmult | transh | complex")
+	fs.StringVar(&s.Model, "model", s.Model, "model: "+strings.Join(model.Names(), " | "))
 	fs.StringVar(&s.Loss, "loss", s.Loss, "loss: logistic | ranking")
 	fs.StringVar(&s.Optimizer, "optimizer", s.Optimizer, "optimizer: adagrad | sgd | adam")
 	fs.Float64Var(&s.Margin, "margin", s.Margin, "ranking-loss margin γ")

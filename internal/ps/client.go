@@ -93,12 +93,6 @@ func NewClient(machine int, c *Cluster, tr Transport, meter *netsim.Meter) (*Cli
 	}, nil
 }
 
-// Machine returns the client's machine index.
-func (c *Client) Machine() int { return c.machine }
-
-// Meter returns the client's traffic meter (nil if disabled).
-func (c *Client) Meter() *netsim.Meter { return c.meter }
-
 // Trace attaches the owning worker's span tracer. Each per-shard RPC is then
 // recorded as a ps.pull / ps.push span under the current span context, with
 // the request carrying the RPC span's context so shard-side spans nest under

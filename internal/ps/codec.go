@@ -58,7 +58,7 @@ const (
 	// ~2^-11 relative rounding error).
 	ProfileFP16 = "fp16"
 	// ProfileInt8 ships 8-bit linearly quantized rows both ways (4×
-	// smaller, per-row scale; what core.RunConfig.Quantize8Bit selects).
+	// smaller, per-row scale).
 	ProfileInt8 = "int8"
 	// ProfileDeltaInt8 pulls int8-quantized deltas against the version the
 	// worker already holds (update norms shrink as training converges, so

@@ -98,7 +98,7 @@ func TestDeltaOverTCP(t *testing.T) {
 	defer l.Close()
 	go ServeTCP(l, c.Servers[0])
 
-	tr, err := DialTCPCodec([]string{l.Addr().String()}, ProfileDeltaInt8)
+	tr, err := DialTCPLink([]string{l.Addr().String()}, ProfileDeltaInt8, LinkConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,12 +160,12 @@ func TestCodecAllowlistRefusal(t *testing.T) {
 	acc := &Acceptor{AllowCodecs: []string{ProfileFP32}}
 	go acc.Serve(l, c.Servers[0])
 
-	if _, err := DialTCPCodec([]string{l.Addr().String()}, ProfileInt8); err == nil {
+	if _, err := DialTCPLink([]string{l.Addr().String()}, ProfileInt8, LinkConfig{}); err == nil {
 		t.Fatal("disallowed codec negotiated")
 	} else if !strings.Contains(err.Error(), "refused") {
 		t.Errorf("refusal error %q does not name the refusal", err)
 	}
-	tr, err := DialTCPCodec([]string{l.Addr().String()}, ProfileFP32)
+	tr, err := DialTCPLink([]string{l.Addr().String()}, ProfileFP32, LinkConfig{})
 	if err != nil {
 		t.Fatalf("allowed codec refused: %v", err)
 	}
@@ -191,7 +191,7 @@ func TestSizerMatchesMeasuredTCPBytes(t *testing.T) {
 	defer l.Close()
 	go ServeTCP(l, srv)
 
-	tr, err := DialTCPCodec([]string{l.Addr().String()}, ProfileInt8)
+	tr, err := DialTCPLink([]string{l.Addr().String()}, ProfileInt8, LinkConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

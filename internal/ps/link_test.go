@@ -182,14 +182,11 @@ func TestRetryReconnectTransparent(t *testing.T) {
 		t.Fatalf("healthy pull: %v", err)
 	}
 
-	// Kill every future read on the server's first connection. The server
-	// is already parked inside a Read whose chaos index predates the rule,
-	// so one more pull rides that pending read; the one after it hits the
-	// reset and must survive via retry + reconnect.
-	inj.Add(chaos.Rule{Conn: 0, Op: chaos.OpRead, Count: -1, Fault: chaos.FaultReset})
-	if _, err := tr.Pull(0, &PullRequest{Keys: keys}); err != nil {
-		t.Fatalf("pull on pending read: %v", err)
-	}
+	// Kill the server's first connection on its next write. Server write
+	// indices are set by this test's requests alone (handshake ack = 0,
+	// healthy pull = 1), so write 2 is the next pull's response: that pull
+	// loses its connection and must survive via retry + reconnect.
+	inj.Add(chaos.Rule{Conn: 0, Op: chaos.OpWrite, After: 2, Fault: chaos.FaultReset})
 	resp, err := tr.Pull(0, &PullRequest{Keys: keys})
 	if err != nil {
 		t.Fatalf("pull across reconnect: %v", err)
@@ -231,13 +228,14 @@ func TestDeadlineExceeded(t *testing.T) {
 	reg := metrics.NewRegistry()
 	tr.Instrument(reg)
 
-	// Every further server read sleeps well past the client deadline. The
-	// server's current pending Read predates the rule, so burn it with one
-	// successful pull first.
-	inj.Add(chaos.Rule{Conn: 0, Op: chaos.OpRead, Count: -1, Fault: chaos.FaultStall, Stall: 2 * time.Second})
+	// One healthy pull, then every further server write sleeps well past
+	// the client deadline. Server write indices are set by this test's
+	// requests alone (handshake ack = 0, healthy pull = 1), so the stall
+	// lands exactly on the second pull's response.
 	if _, err := tr.Pull(0, &PullRequest{Keys: []Key{EntityKey(0)}}); err != nil {
-		t.Fatalf("pull on pending read: %v", err)
+		t.Fatalf("healthy pull: %v", err)
 	}
+	inj.Add(chaos.Rule{Conn: 0, Op: chaos.OpWrite, After: 2, Count: -1, Fault: chaos.FaultStall, Stall: 2 * time.Second})
 	_, err = tr.Pull(0, &PullRequest{Keys: []Key{EntityKey(0)}})
 	if !errors.Is(err, ErrLinkDown) {
 		t.Fatalf("stalled pull error = %v, want ErrLinkDown", err)

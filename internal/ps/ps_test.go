@@ -301,9 +301,9 @@ func TestTCPTransportIntegration(t *testing.T) {
 			l.Close()
 		}
 	}()
-	tr, err := DialTCP(addrs)
+	tr, err := DialTCPLink(addrs, ProfileFP32, LinkConfig{})
 	if err != nil {
-		t.Fatalf("DialTCP: %v", err)
+		t.Fatalf("DialTCPLink: %v", err)
 	}
 	defer tr.Close()
 
@@ -344,7 +344,7 @@ func TestTCPAgreesWithInProc(t *testing.T) {
 	}
 	defer l.Close()
 	go ServeTCP(l, c.Servers[0])
-	tcp, err := DialTCP([]string{l.Addr().String()})
+	tcp, err := DialTCPLink([]string{l.Addr().String()}, ProfileFP32, LinkConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,16 +101,11 @@ func TestReconnectGoldenAcrossProfiles(t *testing.T) {
 				mustEqual("pre-fault pull", step(vtr, r), step(ctr, r))
 			}
 
-			// Fault: every further read on the victim's first connection
-			// resets it. The server's pending Read predates the rule, so a
-			// burn pull rides it (mirrored on the control twin lockstep to
-			// keep the push sequences identical); the next pull reconnects.
-			inj.Add(chaos.Rule{Conn: 0, Op: chaos.OpRead, Count: -1, Fault: chaos.FaultReset})
-			burnV := step(vtr, rounds)
-			burnC := step(ctr, rounds)
-			if !prof.DeltaPull {
-				mustEqual("burn pull", burnV, burnC)
-			}
+			// Fault: the victim's first connection resets on the response
+			// to the next pull. Server write indices are set by this
+			// test's requests alone: the handshake ack is write 0 and each
+			// pre-fault round answered one pull and one push.
+			inj.Add(chaos.Rule{Conn: 0, Op: chaos.OpWrite, After: 1 + 2*rounds, Fault: chaos.FaultReset})
 
 			// Assertion 2: first post-reconnect pull == fresh dial's pull.
 			vresp, err := vtr.Pull(0, &PullRequest{Keys: keys})
@@ -134,7 +129,7 @@ func TestReconnectGoldenAcrossProfiles(t *testing.T) {
 			}
 
 			// Post-fault rounds keep training through the survivor.
-			for r := rounds + 1; r < 2*rounds; r++ {
+			for r := rounds; r < 2*rounds; r++ {
 				v, c := step(vtr, r), step(ctr, r)
 				if !prof.DeltaPull {
 					mustEqual("post-fault pull", v, c)

@@ -410,20 +410,6 @@ func newLinkID() uint64 {
 	return id
 }
 
-// DialTCP connects to every shard address in order with the exact fp32
-// profile — the drop-in equivalent of the pre-codec wire protocol.
-func DialTCP(addrs []string) (*TCPTransport, error) {
-	return DialTCPCodec(addrs, ProfileFP32)
-}
-
-// DialTCPCodec connects with the named codec profile and default link
-// hardening (see LinkConfig). "auto" measures each dial's TCP round-trip
-// time and picks per link via ChooseProfile: co-located shards stay on
-// fp32, slow links get delta-int8.
-func DialTCPCodec(addrs []string, codec string) (*TCPTransport, error) {
-	return DialTCPLink(addrs, codec, LinkConfig{})
-}
-
 // DialTCPLink connects to every shard address, negotiating the named codec
 // profile on each link and applying cfg's deadline/retry/breaker policy to
 // every RPC. Dialing is eager so a bad address or refused handshake fails

@@ -220,9 +220,6 @@ func (h *HotTier) rebuildOne(hot *atomic.Pointer[hotSet], freq []atomic.Uint32, 
 // HitRatio returns hits/(hits+misses) since the last ResetStats.
 func (h *HotTier) HitRatio() float64 { return h.stats.Value() }
 
-// Accesses returns the total lookup count.
-func (h *HotTier) Accesses() int64 { return h.accesses.Load() }
-
 // Rebuilds returns how many promotion passes have run.
 func (h *HotTier) Rebuilds() int64 { return h.rebuilds.Load() }
 

@@ -151,9 +151,6 @@ func (s *Server) Registry() *metrics.Registry { return s.reg }
 // Cache returns the serving hot tier (for inspection and manual rebuilds).
 func (s *Server) Cache() *HotTier { return s.tier }
 
-// Checkpoint returns the loaded checkpoint.
-func (s *Server) Checkpoint() *ckpt.Checkpoint { return s.ck }
-
 // checkEntity validates an entity id.
 func (s *Server) checkEntity(id int, role string) error {
 	if id < 0 || id >= s.ck.Entities.Rows {

@@ -20,9 +20,8 @@ const (
 )
 
 // Header is the first JSONL line of a span dump: run identity plus the
-// sampling interval, mirroring the timeline header so the three formats
-// (hetkg-trace/v1, hetkg-timeline/v1, hetkg-spans/v1) identify runs the
-// same way.
+// sampling interval, mirroring the timeline header so the two formats
+// (hetkg-timeline/v1, hetkg-spans/v1) identify runs the same way.
 type Header struct {
 	Kind    string `json:"kind"` // always Kind
 	System  string `json:"system,omitempty"`

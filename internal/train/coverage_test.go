@@ -7,6 +7,7 @@ import (
 	"hetkg/internal/model"
 	"hetkg/internal/opt"
 	"hetkg/internal/partition"
+	"hetkg/internal/ps"
 	"hetkg/internal/sampler"
 )
 
@@ -67,7 +68,7 @@ func TestQuantizedTraining(t *testing.T) {
 	}
 	q := testConfig(t, 2)
 	q.Epochs = 2
-	q.Quantize8Bit = true
+	q.Codec = ps.ProfileInt8
 	quant, err := TrainHETKG(q)
 	if err != nil {
 		t.Fatalf("quantized training: %v", err)

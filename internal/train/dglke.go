@@ -49,18 +49,9 @@ func runPSTraining(cfg *Config, env *psEnv, workers []*worker, system string,
 	perIteration func(w *worker) error) (*Result, error) {
 
 	res := &Result{System: system, Metrics: cfg.Metrics}
-	var em *metrics.TimelineEmitter
-	if cfg.Timeline != nil {
-		var err error
-		em, err = metrics.NewTimelineEmitter(cfg.Timeline, cfg.Metrics, metrics.TimelineHeader{
-			System:  system,
-			Dataset: cfg.Dataset,
-			Every:   cfg.TimelineEvery,
-			Seed:    cfg.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
+	em, err := openTimeline(cfg, system)
+	if err != nil {
+		return nil, err
 	}
 	start := time.Now()
 	round := 0 // global iterations: one round = one batch turn per worker
@@ -97,6 +88,11 @@ func runPSTraining(cfg *Config, env *psEnv, workers []*worker, system string,
 			return nil, err
 		}
 		res.Epochs = append(res.Epochs, stat)
+		if em != nil {
+			if err := em.EmitEpoch(round, stat); err != nil {
+				return nil, err
+			}
+		}
 	}
 	if em != nil {
 		if err := em.Flush(); err != nil {

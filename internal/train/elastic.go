@@ -549,6 +549,9 @@ func (e *elastic) finish() (*Result, error) {
 		st.CumTime = cum
 		res.Epochs = append(res.Epochs, *st)
 	}
+	if err := writeEpochs(e.cfg, name, res.Epochs); err != nil {
+		return nil, err
+	}
 	if len(e.all) == 0 {
 		// This process never trained a batch (pure spare). Gather and
 		// evaluate anyway so its Result reflects the cluster's final state.

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"bytes"
 	"os"
 	"sync"
 	"testing"
@@ -29,6 +30,8 @@ func elasticMembership(t *testing.T, parts int) *ps.Membership {
 func TestElasticSingleWorkerTrains(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Dataset = "traintest"
+	var tl bytes.Buffer
+	cfg.Timeline = &tl
 	m := elasticMembership(t, 2)
 	res, err := TrainElastic(cfg, ElasticConfig{Coordinator: m, Label: "solo"})
 	if err != nil {
@@ -49,6 +52,20 @@ func TestElasticSingleWorkerTrains(t *testing.T) {
 	}
 	if !m.AllDone() {
 		t.Error("coordinator does not agree the run finished")
+	}
+	// The timeline holds one epoch record per recorded epoch.
+	run, err := metrics.ReadTimeline(&tl)
+	if err != nil {
+		t.Fatalf("ReadTimeline: %v", err)
+	}
+	if len(run.Records) != len(res.Epochs) || run.Header.System != res.System {
+		t.Fatalf("timeline %+v with %d records, want %d epoch records of %s",
+			run.Header, len(run.Records), len(res.Epochs), res.System)
+	}
+	for i, rec := range run.Records {
+		if !rec.EpochEnd || rec.Epoch != res.Epochs[i].Epoch || rec.Loss != res.Epochs[i].Loss {
+			t.Errorf("record %d = %+v, want epoch %+v", i, rec, res.Epochs[i])
+		}
 	}
 }
 

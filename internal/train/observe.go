@@ -68,6 +68,35 @@ func runningLoss(workers []*worker) float64 {
 	return sum / float64(n)
 }
 
+// openTimeline starts the run's timeline on cfg.Timeline; it returns nil
+// when the run records none.
+func openTimeline(cfg *Config, system string) (*metrics.TimelineEmitter, error) {
+	if cfg.Timeline == nil {
+		return nil, nil
+	}
+	return metrics.NewTimelineEmitter(cfg.Timeline, cfg.Metrics, metrics.TimelineHeader{
+		System:  system,
+		Dataset: cfg.Dataset,
+		Every:   cfg.TimelineEvery,
+		Seed:    cfg.Seed,
+	})
+}
+
+// writeEpochs writes one epoch record per entry of epochs and flushes: the
+// whole timeline of a trainer without per-iteration records (PBG, elastic).
+func writeEpochs(cfg *Config, system string, epochs []metrics.EpochStat) error {
+	em, err := openTimeline(cfg, system)
+	if em == nil || err != nil {
+		return err
+	}
+	for _, s := range epochs {
+		if err := em.EmitEpoch(0, s); err != nil {
+			return err
+		}
+	}
+	return em.Flush()
+}
+
 // emitTimeline refreshes the derived gauges (loss, epoch, hit ratio) and
 // writes one timeline record for the given global iteration. Everything
 // under the record's "metrics" key is deterministic; wall-clock readings

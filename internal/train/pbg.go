@@ -131,6 +131,9 @@ func TrainPBG(cfg Config) (*Result, error) {
 		res.Comm += e.Comm
 	}
 	res.Traffic = st.traffic
+	if err := writeEpochs(&cfg, res.System, res.Epochs); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 

@@ -13,7 +13,7 @@ import (
 func timelineRun(t *testing.T) *metrics.TimelineRun {
 	t.Helper()
 	cfg := testConfig(t, 2)
-	cfg.EvalEvery = 0
+	cfg.EvalEvery = cfg.Epochs // score the last epoch only: its record carries an MRR
 	cfg.Parallelism = 1
 	cfg.Dataset = "traintest"
 	cfg.TimelineEvery = 2
@@ -34,7 +34,8 @@ func timelineRun(t *testing.T) *metrics.TimelineRun {
 }
 
 // TestTimelineEmission checks a training run emits a well-formed timeline:
-// enough records, and the last record carrying every headline series —
+// enough records, and the last iteration record (the one before the final
+// end-of-epoch record) carrying every headline series —
 // loss, cache hit ratio, staleness quantiles, PS byte counts, simulated
 // wire time — plus wall-clock readings in the separate wall object.
 func TestTimelineEmission(t *testing.T) {
@@ -45,7 +46,7 @@ func TestTimelineEmission(t *testing.T) {
 	if len(run.Records) < 10 {
 		t.Fatalf("got %d records, want >= 10", len(run.Records))
 	}
-	last := run.Records[len(run.Records)-1]
+	last := run.Records[len(run.Records)-2]
 	if last.Loss <= 0 {
 		t.Errorf("last record loss = %v", last.Loss)
 	}
@@ -82,17 +83,25 @@ func TestTimelineEmission(t *testing.T) {
 
 // TestTimelineDeterministic re-runs the same configuration and requires the
 // two timelines to be bit-identical once the wall-clock object is stripped:
-// the paper-reproduction contract is that every value under "metrics"
-// derives from deterministic quantities only.
+// the paper-reproduction contract is that every value under "metrics", and
+// every top-level field of the end-of-epoch records (loss, mrr, comm,
+// hit ratio), derives from deterministic quantities only.
 func TestTimelineDeterministic(t *testing.T) {
 	strip := func(run *metrics.TimelineRun) []byte {
 		var buf bytes.Buffer
 		enc := json.NewEncoder(&buf)
+		var ends []metrics.TimelineRecord
 		for _, rec := range run.Records {
 			rec.Wall = nil
 			if err := enc.Encode(rec); err != nil {
 				t.Fatal(err)
 			}
+			if rec.EpochEnd {
+				ends = append(ends, rec)
+			}
+		}
+		if len(ends) != 3 || ends[2].MRR <= 0 || ends[2].CommMS <= 0 || ends[2].HitRatio <= 0 {
+			t.Fatalf("epoch records = %+v, want 3 with the last scored", ends)
 		}
 		return buf.Bytes()
 	}

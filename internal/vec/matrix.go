@@ -31,13 +31,6 @@ func (m *Matrix) Row(i int) []float32 {
 	return m.Data[i*m.Dim : (i+1)*m.Dim : (i+1)*m.Dim]
 }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Dim)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // InitUniform fills m with values drawn uniformly from [-bound, bound].
 // The standard KGE initialization uses bound = 6/sqrt(dim) (Bordes et al.).
 func (m *Matrix) InitUniform(rng *rand.Rand, bound float32) {
@@ -56,13 +49,6 @@ func (m *Matrix) InitXavier(rng *rand.Rand) {
 // [-6/sqrt(d), 6/sqrt(d)] followed by per-row l2 normalization.
 func (m *Matrix) InitKGE(rng *rand.Rand) {
 	m.InitUniform(rng, float32(6/math.Sqrt(float64(m.Dim))))
-	for i := 0; i < m.Rows; i++ {
-		Normalize(m.Row(i))
-	}
-}
-
-// NormalizeRows scales every row to unit l2 norm.
-func (m *Matrix) NormalizeRows() {
 	for i := 0; i < m.Rows; i++ {
 		Normalize(m.Row(i))
 	}

@@ -83,37 +83,6 @@ func Scale(x []float32, alpha float32) {
 	}
 }
 
-// Mul stores the element-wise (Hadamard) product a*b into dst.
-func Mul(dst, a, b []float32) {
-	checkLen(a, b)
-	checkLen(dst, a)
-	for i := range dst {
-		dst[i] = a[i] * b[i]
-	}
-}
-
-// MulAdd computes dst += a*b element-wise.
-func MulAdd(dst, a, b []float32) {
-	checkLen(a, b)
-	checkLen(dst, a)
-	for i := range dst {
-		dst[i] += a[i] * b[i]
-	}
-}
-
-// L1 returns the l1 norm of x.
-func L1(x []float32) float32 {
-	var s float32
-	for _, v := range x {
-		if v < 0 {
-			s -= v
-		} else {
-			s += v
-		}
-	}
-	return s
-}
-
 // L2 returns the l2 (Euclidean) norm of x.
 func L2(x []float32) float32 {
 	return float32(math.Sqrt(float64(SquaredL2(x))))
@@ -124,21 +93,6 @@ func SquaredL2(x []float32) float32 {
 	var s float32
 	for _, v := range x {
 		s += v * v
-	}
-	return s
-}
-
-// L1Dist returns the l1 distance between a and b.
-func L1Dist(a, b []float32) float32 {
-	checkLen(a, b)
-	var s float32
-	for i, x := range a {
-		d := x - b[i]
-		if d < 0 {
-			s -= d
-		} else {
-			s += d
-		}
 	}
 	return s
 }
@@ -159,36 +113,10 @@ func L2Dist(a, b []float32) float32 {
 	return float32(math.Sqrt(float64(SquaredL2Dist(a, b))))
 }
 
-// Copy copies src into dst. It panics if the lengths differ; unlike the
-// built-in copy it refuses to silently truncate.
-func Copy(dst, src []float32) {
-	checkLen(dst, src)
-	copy(dst, src)
-}
-
 // Zero sets every element of x to zero.
 func Zero(x []float32) {
 	for i := range x {
 		x[i] = 0
-	}
-}
-
-// Fill sets every element of x to v.
-func Fill(x []float32, v float32) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
-// Clamp limits every element of x to [-bound, bound]. Used by trainers to
-// keep asynchronous gradient spikes from destabilizing embeddings.
-func Clamp(x []float32, bound float32) {
-	for i, v := range x {
-		if v > bound {
-			x[i] = bound
-		} else if v < -bound {
-			x[i] = -bound
-		}
 	}
 }
 
@@ -199,33 +127,6 @@ func Normalize(x []float32) {
 		return
 	}
 	Scale(x, 1/n)
-}
-
-// SignInto stores sign(a-b) into dst: +1 where a>b, -1 where a<b, 0 where
-// equal. It is the sub-gradient of the l1 distance used by TransE-L1.
-func SignInto(dst, a, b []float32) {
-	checkLen(a, b)
-	checkLen(dst, a)
-	for i := range dst {
-		switch {
-		case a[i] > b[i]:
-			dst[i] = 1
-		case a[i] < b[i]:
-			dst[i] = -1
-		default:
-			dst[i] = 0
-		}
-	}
-}
-
-// IsFinite reports whether every element of x is a finite number.
-func IsFinite(x []float32) bool {
-	for _, v := range x {
-		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-			return false
-		}
-	}
-	return true
 }
 
 func checkLen(a, b []float32) {

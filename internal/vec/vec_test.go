@@ -139,9 +139,6 @@ func randSliceFrom(rng *rand.Rand, n int) []float32 {
 
 func TestNorms(t *testing.T) {
 	x := []float32{3, -4}
-	if got := L1(x); got != 7 {
-		t.Errorf("L1 = %v, want 7", got)
-	}
 	if got := L2(x); !approxEq(got, 5, 1e-6) {
 		t.Errorf("L2 = %v, want 5", got)
 	}
@@ -153,9 +150,6 @@ func TestNorms(t *testing.T) {
 func TestDistances(t *testing.T) {
 	a := []float32{1, 2, 3}
 	b := []float32{4, 6, 3}
-	if got := L1Dist(a, b); got != 7 {
-		t.Errorf("L1Dist = %v, want 7", got)
-	}
 	if got := SquaredL2Dist(a, b); got != 25 {
 		t.Errorf("SquaredL2Dist = %v, want 25", got)
 	}
@@ -190,61 +184,6 @@ func TestNormalize(t *testing.T) {
 	Normalize(zero) // must not NaN
 	if zero[0] != 0 || zero[1] != 0 {
 		t.Errorf("Normalize modified zero vector: %v", zero)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	x := []float32{-10, -0.5, 0, 0.5, 10}
-	Clamp(x, 1)
-	want := []float32{-1, -0.5, 0, 0.5, 1}
-	for i := range x {
-		if x[i] != want[i] {
-			t.Fatalf("Clamp result %v, want %v", x, want)
-		}
-	}
-}
-
-func TestSignInto(t *testing.T) {
-	a := []float32{1, 2, 3}
-	b := []float32{2, 2, 1}
-	dst := make([]float32, 3)
-	SignInto(dst, a, b)
-	want := []float32{-1, 0, 1}
-	for i := range dst {
-		if dst[i] != want[i] {
-			t.Fatalf("SignInto result %v, want %v", dst, want)
-		}
-	}
-}
-
-func TestIsFinite(t *testing.T) {
-	if !IsFinite([]float32{1, -2, 0}) {
-		t.Error("finite vector reported non-finite")
-	}
-	if IsFinite([]float32{1, float32(math.NaN())}) {
-		t.Error("NaN not detected")
-	}
-	if IsFinite([]float32{float32(math.Inf(1))}) {
-		t.Error("Inf not detected")
-	}
-}
-
-func TestMulAndMulAdd(t *testing.T) {
-	a := []float32{1, 2, 3}
-	b := []float32{4, 5, 6}
-	dst := make([]float32, 3)
-	Mul(dst, a, b)
-	want := []float32{4, 10, 18}
-	for i := range dst {
-		if dst[i] != want[i] {
-			t.Fatalf("Mul result %v, want %v", dst, want)
-		}
-	}
-	MulAdd(dst, a, b)
-	for i := range dst {
-		if dst[i] != 2*want[i] {
-			t.Fatalf("MulAdd result %v, want %v doubled", dst, want)
-		}
 	}
 }
 
@@ -319,16 +258,6 @@ func TestReadMatrixRejectsGarbage(t *testing.T) {
 	b[15] = 0x7F
 	if _, err := ReadMatrix(bytes.NewReader(b)); err == nil {
 		t.Error("implausible shape accepted")
-	}
-}
-
-func TestMatrixClone(t *testing.T) {
-	m := NewMatrix(2, 2)
-	m.Data[0] = 1
-	c := m.Clone()
-	c.Data[0] = 2
-	if m.Data[0] != 1 {
-		t.Error("Clone shares storage with original")
 	}
 }
 
