@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"os"
 
-	"hetkg/internal/cache"
 	"hetkg/internal/dataset"
 	"hetkg/internal/kg"
 	"hetkg/internal/model"
@@ -77,8 +76,8 @@ func clusterSpec(rc RunConfig) (ps.ClusterConfig, error) {
 
 // runElastic joins the cluster at rc.JoinAddr and trains whatever the
 // coordinator assigns (Run's elastic-mode dispatch). The registration
-// happens here rather than in train.TrainElastic because the join reply's
-// shard list is needed to build the transport.
+// happens here rather than in the trainer because the join reply's shard
+// list is needed to build the transport.
 func runElastic(rc RunConfig, tc train.Config) (*train.Result, error) {
 	switch rc.System {
 	case SystemDGLKE, SystemHETKGC, SystemHETKGD:
@@ -115,13 +114,7 @@ func runElastic(rc RunConfig, tc train.Config) (*train.Result, error) {
 	tc.NewTransport = func(*ps.Cluster) (ps.Transport, error) {
 		return ps.DialTCPLink(addrs, codec, lcfg)
 	}
-	switch rc.System {
-	case SystemHETKGC:
-		tc.Cache.Strategy = cache.CPS
-	case SystemHETKGD:
-		tc.Cache.Strategy = cache.DPS
-	}
-	return train.TrainElastic(tc, train.ElasticConfig{
+	tc.Elastic = &train.ElasticConfig{
 		Coordinator:    cc,
 		Join:           join,
 		Label:          label,
@@ -129,9 +122,9 @@ func runElastic(rc RunConfig, tc train.Config) (*train.Result, error) {
 		CkptDir:        rc.CkptDir,
 		RecoverFrom:    rc.RecoverFrom,
 		CkptEvery:      rc.CkptEvery,
-		NoCache:        rc.System == SystemDGLKE,
 		Logf:           rc.ClusterLogf,
-	})
+	}
+	return runSystem(rc.System, tc)
 }
 
 // BuildShard constructs the single parameter-server shard that machine m of

@@ -49,8 +49,8 @@ type TimelineWall struct {
 // under Wall.
 type TimelineRecord struct {
 	// Iter is the global iteration (mini-batch rounds across all epochs);
-	// 0 on the epoch records of trainers without a global round clock
-	// (PBG, elastic).
+	// 0 on the epoch records of a trainer without a global round clock
+	// (PBG).
 	Iter int `json:"iter"`
 	// Epoch is the 1-based epoch the iteration belongs to.
 	Epoch int `json:"epoch"`

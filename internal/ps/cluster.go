@@ -142,30 +142,6 @@ func (c *Cluster) NumEntities() int { return c.numEntity }
 // NumRelations returns the relation universe size.
 func (c *Cluster) NumRelations() int { return c.numRel }
 
-// Gather assembles the full embedding tables from all shards, for
-// evaluation and checkpointing after training.
-func (c *Cluster) Gather() (entities, relations *vec.Matrix, err error) {
-	entities = vec.NewMatrix(c.numEntity, c.entDim)
-	relations = vec.NewMatrix(c.numRel, c.relDim)
-	for e := 0; e < c.numEntity; e++ {
-		k := EntityKey(kg.EntityID(e))
-		vals, err := c.Servers[c.Place.Shard(k)].Pull([]Key{k})
-		if err != nil {
-			return nil, nil, err
-		}
-		copy(entities.Row(e), vals)
-	}
-	for r := 0; r < c.numRel; r++ {
-		k := RelationKey(kg.RelationID(r))
-		vals, err := c.Servers[c.Place.Shard(k)].Pull([]Key{k})
-		if err != nil {
-			return nil, nil, err
-		}
-		copy(relations.Row(r), vals)
-	}
-	return entities, relations, nil
-}
-
 // initRow fills row deterministically from (seed, key) with the KGE uniform
 // initialization; entity rows are additionally l2-normalized (the TransE
 // convention).

@@ -75,13 +75,13 @@ func testCluster(t *testing.T, machines int) *Cluster {
 func TestClusterInitDeterministicAcrossShardCounts(t *testing.T) {
 	c1 := testCluster(t, 1)
 	c2 := testCluster(t, 4)
-	e1, r1, err := c1.Gather()
+	e1, r1, err := c1.GatherVia(NewInProc(c1))
 	if err != nil {
-		t.Fatalf("Gather: %v", err)
+		t.Fatalf("GatherVia: %v", err)
 	}
-	e2, r2, err := c2.Gather()
+	e2, r2, err := c2.GatherVia(NewInProc(c2))
 	if err != nil {
-		t.Fatalf("Gather: %v", err)
+		t.Fatalf("GatherVia: %v", err)
 	}
 	for i := range e1.Data {
 		if e1.Data[i] != e2.Data[i] {
@@ -155,24 +155,6 @@ func TestServerDropsNonFiniteGradients(t *testing.T) {
 		if after[i] != before[i] {
 			t.Fatal("non-finite gradient was applied")
 		}
-	}
-}
-
-func TestSetRow(t *testing.T) {
-	c := testCluster(t, 1)
-	srv := c.Servers[0]
-	k := EntityKey(5)
-	row := make([]float32, 8)
-	row[7] = 3.5
-	if err := srv.SetRow(k, row); err != nil {
-		t.Fatalf("SetRow: %v", err)
-	}
-	got, _ := srv.Pull([]Key{k})
-	if got[7] != 3.5 {
-		t.Errorf("SetRow not visible: %v", got)
-	}
-	if err := srv.SetRow(k, make([]float32, 3)); err == nil {
-		t.Error("wrong-width SetRow accepted")
 	}
 }
 
@@ -457,24 +439,30 @@ func TestNewClusterShardMatchesFullCluster(t *testing.T) {
 	}
 }
 
+// TestGatherViaMatchesDirectGather checks GatherVia's tables row by row
+// against direct pulls from each key's owning shard.
 func TestGatherViaMatchesDirectGather(t *testing.T) {
 	c := testCluster(t, 2)
-	de, dr, err := c.Gather()
-	if err != nil {
-		t.Fatal(err)
-	}
 	ve, vr, err := c.GatherVia(NewInProc(c))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range de.Data {
-		if de.Data[i] != ve.Data[i] {
-			t.Fatal("GatherVia entities differ from direct Gather")
+	check := func(k Key, got []float32) {
+		t.Helper()
+		want, err := c.Servers[c.Place.Shard(k)].Pull([]Key{k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("GatherVia row %v differs from the owning shard's", k)
+			}
 		}
 	}
-	for i := range dr.Data {
-		if dr.Data[i] != vr.Data[i] {
-			t.Fatal("GatherVia relations differ from direct Gather")
-		}
+	for e := 0; e < ve.Rows; e++ {
+		check(EntityKey(kg.EntityID(e)), ve.Row(e))
+	}
+	for r := 0; r < vr.Rows; r++ {
+		check(RelationKey(kg.RelationID(r)), vr.Row(r))
 	}
 }

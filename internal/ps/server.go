@@ -233,22 +233,6 @@ func (s *Server) Push(keys []Key, vals []float32) error {
 	return nil
 }
 
-// SetRow overwrites a row's value (used by block trainers that update
-// entity partitions locally and write them back wholesale).
-func (s *Server) SetRow(k Key, row []float32) error {
-	if len(row) != s.Width(k) {
-		return fmt.Errorf("ps: SetRow %v width %d, want %d", k, len(row), s.Width(k))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dst, ok := s.rows[k]
-	if !ok {
-		return fmt.Errorf("ps: shard %d does not own %v", s.machine, k)
-	}
-	copy(dst, row)
-	return nil
-}
-
 // Keys returns all keys owned by the shard (unordered).
 func (s *Server) Keys() []Key {
 	s.mu.RLock()

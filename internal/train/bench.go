@@ -25,7 +25,11 @@ func NewBatchBench(cfg Config) (*BatchBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers, err := newWorkers(&cfg, env.cluster, env.part, env.tr, false)
+	b, err := newWorkerBuilder(&cfg, env, nil)
+	if err != nil {
+		return nil, err
+	}
+	workers, err := b.buildLocal()
 	if err != nil {
 		return nil, err
 	}

@@ -172,6 +172,12 @@ type Config struct {
 	// — the explicit bound on how much update mass an outage may defer.
 	// Default 65536 when degraded mode is on.
 	DegradedMaxBufferedRows int
+
+	// Elastic, when non-nil, runs this process as one worker of a
+	// coordinated multi-process cluster (DESIGN.md §11) instead of a static
+	// deployment: partitions come from the coordinator, not LocalMachines.
+	// Only the PS trainers (TrainDGLKE, TrainHETKG) read it.
+	Elastic *ElasticConfig
 }
 
 // CacheConfig is the hot-embedding table configuration (§IV-B).
@@ -228,6 +234,14 @@ func (c *Config) Validate() error {
 	if c.WorkersPerMachine < 0 {
 		return fmt.Errorf("train: WorkersPerMachine %d < 0", c.WorkersPerMachine)
 	}
+	if c.Elastic != nil {
+		if c.Elastic.Coordinator == nil {
+			return fmt.Errorf("train: elastic run needs a coordinator")
+		}
+		if c.WorkersPerMachine > 1 {
+			return fmt.Errorf("train: elastic mode supports 1 worker per machine, got %d", c.WorkersPerMachine)
+		}
+	}
 	if c.Partitioner == nil {
 		c.Partitioner = &partition.MetisLike{Seed: c.Seed}
 	}
@@ -270,7 +284,8 @@ func (c *Config) Validate() error {
 
 // Result is the outcome of a training run.
 type Result struct {
-	// System names the trainer ("HET-KG-C", "HET-KG-D", "DGL-KE", "PBG").
+	// System names the trainer ("HET-KG-C", "HET-KG-D", "DGL-KE", "PBG";
+	// elastic runs append "/elastic").
 	System string
 	// Epochs records per-epoch statistics (loss, validation MRR, time
 	// breakdown, hit ratio).

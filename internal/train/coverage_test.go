@@ -159,7 +159,7 @@ func TestEmptyMachineTolerated(t *testing.T) {
 	cfg.Epochs = 1
 	cfg.EvalEvery = 0
 	// Force a degenerate partition: everything on machine 0.
-	cfg.Partitioner = &allOnZero{}
+	cfg.Partitioner = onMachines{0}
 	res, err := TrainDGLKE(cfg)
 	if err != nil {
 		t.Fatalf("degenerate partition: %v", err)
@@ -169,17 +169,56 @@ func TestEmptyMachineTolerated(t *testing.T) {
 	}
 }
 
-// allOnZero assigns every entity (and thus every triple) to machine 0,
-// leaving the other machines' shards empty of entities.
-type allOnZero struct{}
+// TestWorkerIDsStableAcrossDeployments: a machine's worker ids (and so its
+// sampler seeds) are m*WorkersPerMachine+s whether this process runs every
+// machine or only that one, even when an earlier machine is empty.
+func TestWorkerIDsStableAcrossDeployments(t *testing.T) {
+	for _, local := range [][]int{nil, {2}} {
+		cfg := testConfig(t, 3)
+		cfg.WorkersPerMachine = 2
+		cfg.LocalMachines = local
+		cfg.Partitioner = onMachines{0, 2} // machine 1 gets no triples
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		env, err := setupPS(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := newWorkerBuilder(&cfg, env, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers, err := b.buildLocal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int
+		for _, w := range workers {
+			if w.machine == 2 {
+				got = append(got, w.id)
+			}
+		}
+		if len(got) != 2 || got[0] != 4 || got[1] != 5 {
+			t.Errorf("LocalMachines %v: machine 2 worker ids %v, want [4 5]", local, got)
+		}
+	}
+}
 
-func (*allOnZero) Name() string { return "all-on-zero" }
+// onMachines deals entities and triples round-robin over the listed
+// machines, leaving every other machine's shard empty.
+type onMachines []int32
 
-func (*allOnZero) Partition(g *kg.Graph, k int) (*partition.Result, error) {
-	r := &partition.Result{K: k, EntityPart: make([]int32, g.NumEntity)}
-	r.TripleIdx = make([][]int32, k)
+func (onMachines) Name() string { return "on-machines" }
+
+func (ms onMachines) Partition(g *kg.Graph, k int) (*partition.Result, error) {
+	r := &partition.Result{K: k, EntityPart: make([]int32, g.NumEntity), TripleIdx: make([][]int32, k)}
+	for e := range r.EntityPart {
+		r.EntityPart[e] = ms[e%len(ms)]
+	}
 	for i := range g.Triples {
-		r.TripleIdx[0] = append(r.TripleIdx[0], int32(i))
+		m := ms[i%len(ms)]
+		r.TripleIdx[m] = append(r.TripleIdx[m], int32(i))
 	}
 	return r, nil
 }

@@ -18,15 +18,7 @@ func TrainDGLKE(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	env, err := setupPS(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	workers, err := newWorkers(&cfg, env.cluster, env.part, env.tr, false)
-	if err != nil {
-		return nil, err
-	}
-	return runPSTraining(&cfg, env, workers, "DGL-KE", nil)
+	return runPSTraining(&cfg, "DGL-KE", nil)
 }
 
 // psEnv bundles the shared PS-training substrate.
@@ -38,115 +30,247 @@ type psEnv struct {
 	tr ps.Transport
 }
 
-// runPSTraining drives PS-style trainers (DGL-KE and HET-KG) with the
-// round-robin asynchronous schedule: each epoch every worker processes its
-// share of iterations one batch per turn, then an epoch barrier (the full
-// synchronization DGL-KE performs every few thousand mini-batches, §V)
-// gathers statistics and optionally evaluates. perIteration, when non-nil,
-// is invoked before each worker turn — HET-KG hooks its prefetch, rebuild
-// and staleness sync there.
-func runPSTraining(cfg *Config, env *psEnv, workers []*worker, system string,
-	perIteration func(w *worker) error) (*Result, error) {
+// partRunner is one local worker's position in the run.
+type partRunner struct {
+	id   int     // worker id; in elastic runs also the partition
+	w    *worker // nil for a partition adopted already finished
+	ipe  int     // iterations per epoch
+	ep   int     // current 1-based epoch
+	iter int     // completed iterations within ep
+	done bool
+}
 
-	res := &Result{System: system, Metrics: cfg.Metrics}
-	em, err := openTimeline(cfg, system)
+// epochAcc accumulates one epoch's statistics as workers finish it.
+type epochAcc struct {
+	stat     metrics.EpochStat // Loss holds the sum until closeEpoch
+	workers  int
+	acc, hit float64 // cache accesses and hits
+}
+
+// psDriver is the state of the PS training loop.
+type psDriver struct {
+	cfg     *Config
+	env     *psEnv
+	b       *workerBuilder
+	el      *elastic      // nil for a static run
+	runners []*partRunner // sorted by id
+	all     []*worker     // every worker ever built, for finalize
+	epochs  map[int]*epochAcc
+	cum     time.Duration
+	round   int // global iterations: one round = one batch turn per runner
+	em      *metrics.TimelineEmitter
+	res     *Result
+}
+
+// runPSTraining is the one driver loop of the PS trainers (DGL-KE and
+// HET-KG). Every round each local worker takes one batch turn, round-robin
+// (ASP: with unbalanced partitions a light worker simply finishes its epoch
+// early rather than re-looping its subgraph, which would inflate both
+// traffic and update counts). perIteration, when non-nil, is HET-KG's cache
+// hook: every worker gets a hot-embedding table, and the hook runs before
+// each of its turns (prefetch, rebuild and staleness sync).
+//
+// Without cfg.Elastic the run is static: all local workers are built up
+// front, and each epoch ends at a barrier (the full synchronization DGL-KE
+// performs every few thousand mini-batches, §V) that records the epoch and
+// optionally evaluates. With cfg.Elastic this process is one worker of a
+// coordinated cluster (elastic.go): the loop also heartbeats, adopts and
+// drops partitions, and snapshots progress, and each partition crosses its
+// epoch boundaries on its own — there is no barrier, so only the final
+// evaluation scores.
+func runPSTraining(cfg *Config, system string, perIteration func(*worker) error) (*Result, error) {
+	if cfg.Elastic != nil {
+		system += "/elastic"
+		cfg.LocalMachines = nil // assignment comes from the coordinator
+	}
+	env, err := setupPS(cfg)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	round := 0 // global iterations: one round = one batch turn per worker
-	var cum time.Duration
-	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
-		// Each worker makes one pass over its own partition per epoch;
-		// with unbalanced partitions a light worker simply finishes its
-		// epoch early (ASP — nobody waits), rather than re-looping its
-		// subgraph, which would inflate both traffic and update counts.
-		maxIters := 0
-		for _, w := range workers {
-			if it := w.smp.IterationsPerEpoch(); it > maxIters {
-				maxIters = it
-			}
-		}
-		for it := 0; it < maxIters; it++ {
-			for _, w := range workers {
-				if it >= w.smp.IterationsPerEpoch() {
-					continue
-				}
-				if err := w.turn(perIteration); err != nil {
-					return nil, err
-				}
-			}
-			round++
-			if em != nil && em.ShouldEmit(round) {
-				if err := emitTimeline(em, workers[0].obs, workers, round, epoch, start); err != nil {
-					return nil, err
-				}
-			}
-		}
-		stat, err := epochBarrier(cfg, env, workers, epoch, &cum)
-		if err != nil {
+	b, err := newWorkerBuilder(cfg, env, perIteration)
+	if err != nil {
+		return nil, err
+	}
+	d := &psDriver{
+		cfg:    cfg,
+		env:    env,
+		b:      b,
+		epochs: make(map[int]*epochAcc),
+		res:    &Result{System: system, Metrics: cfg.Metrics},
+	}
+	if cfg.Elastic != nil {
+		if d.el, err = joinElastic(d); err != nil {
 			return nil, err
 		}
-		res.Epochs = append(res.Epochs, stat)
-		if em != nil {
-			if err := em.EmitEpoch(round, stat); err != nil {
+	} else {
+		if d.all, err = b.buildLocal(); err != nil {
+			return nil, err
+		}
+		for _, w := range d.all {
+			d.runners = append(d.runners, &partRunner{id: w.id, w: w, ipe: w.smp.IterationsPerEpoch(), ep: 1})
+		}
+	}
+	if d.em, err = openTimeline(cfg, system); err != nil {
+		return nil, err
+	}
+	if err := d.run(); err != nil {
+		return nil, err
+	}
+	// Elastic epochs close at the end, in order; a static run closed each
+	// at its barrier.
+	for ep := 1; ep <= cfg.Epochs; ep++ {
+		if d.epochs[ep] != nil {
+			if err := d.closeEpoch(ep); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if em != nil {
-		if err := em.Flush(); err != nil {
+	if d.em != nil {
+		if err := d.em.Flush(); err != nil {
 			return nil, err
 		}
 	}
-	return finalize(cfg, env, workers, res)
+	return finalize(cfg, env, d.all, d.res)
 }
 
-// epochBarrier collects per-epoch statistics across workers: the epoch's
-// simulated duration is the critical path (slowest worker), matching a real
-// cluster where machines run in parallel.
-func epochBarrier(cfg *Config, env *psEnv, workers []*worker, epoch int, cum *time.Duration) (metrics.EpochStat, error) {
-	var stat metrics.EpochStat
-	stat.Epoch = epoch
-	var lossSum float64
-	var accTotal, hitTotal float64
-	for _, w := range workers {
-		comp, comm, loss := w.epochStats(cfg.CostModel)
-		if comp > stat.Comp {
-			stat.Comp = comp
+// run drives batch turns until every local worker finished its last epoch
+// (static) or the coordinator reports the whole cluster done (elastic).
+func (d *psDriver) run() error {
+	start := time.Now()
+	for {
+		if d.el != nil {
+			allDone, err := d.el.beat()
+			if allDone || err != nil {
+				return err
+			}
+		} else if d.epoch() > d.cfg.Epochs {
+			return nil
 		}
-		if comm > stat.Comm {
-			stat.Comm = comm
+		progressed := false
+		for _, r := range d.runners {
+			if r.done || r.iter >= r.ipe {
+				continue // finished, or waiting at the epoch barrier
+			}
+			if err := r.w.turn(d.b.perIteration); err != nil {
+				return fmt.Errorf("train: worker %d: %w", r.id, err)
+			}
+			r.iter++
+			progressed = true
+			if d.el != nil {
+				d.el.afterTurn(r)
+				if d.el.beatDue() {
+					break // don't let a long round starve failure detection
+				}
+			}
 		}
-		lossSum += loss
-		if w.hot != nil {
-			acc := float64(w.hot.Accesses())
-			accTotal += acc
-			hitTotal += acc * w.hot.HitRatio()
-			w.accTotal += acc
-			w.hitTotal += acc * w.hot.HitRatio()
-			w.hot.ResetStats()
+		if progressed {
+			d.round++
+			if d.em != nil && d.em.ShouldEmit(d.round) {
+				if err := emitTimeline(d.em, d.b.tobs, d.runners, d.round, d.epoch(), start); err != nil {
+					return err
+				}
+			}
+		}
+		switch {
+		case d.el == nil:
+			if err := d.barrier(); err != nil {
+				return err
+			}
+		case !progressed:
+			// Nothing runnable: idle until the next heartbeat can bring
+			// reassigned work (or the all-done signal).
+			time.Sleep(sleepQuantum(d.el.interval))
 		}
 	}
-	stat.Loss = lossSum / float64(len(workers))
-	if accTotal > 0 {
-		stat.HitRatio = hitTotal / accTotal
-	}
-	*cum += stat.Total()
-	stat.CumTime = *cum
+}
 
-	if cfg.EvalEvery > 0 && len(cfg.Valid) > 0 && epoch%cfg.EvalEvery == 0 {
-		ents, rels, err := env.cluster.GatherVia(env.tr)
+// epoch is the earliest epoch a local worker is still in (Epochs+1 once
+// every local worker is past its last).
+func (d *psDriver) epoch() int {
+	ep := d.cfg.Epochs + 1
+	for _, r := range d.runners {
+		if !r.done && r.ep < ep {
+			ep = r.ep
+		}
+	}
+	return ep
+}
+
+// barrier ends a static run's epoch once every local worker has finished
+// it: the epoch is recorded across all workers at once and closed.
+func (d *psDriver) barrier() error {
+	for _, r := range d.runners {
+		if r.iter < r.ipe {
+			return nil
+		}
+	}
+	ep := d.runners[0].ep
+	for _, r := range d.runners {
+		d.recordEpoch(r)
+	}
+	return d.closeEpoch(ep)
+}
+
+// recordEpoch folds r's finished epoch into that epoch's aggregate and
+// advances r to the next epoch. The epoch's simulated duration is the
+// critical path (slowest worker), matching a real cluster where machines
+// run in parallel.
+func (d *psDriver) recordEpoch(r *partRunner) {
+	a := d.epochs[r.ep]
+	if a == nil {
+		a = &epochAcc{stat: metrics.EpochStat{Epoch: r.ep}}
+		d.epochs[r.ep] = a
+	}
+	comp, comm, loss := r.w.epochStats(d.cfg.CostModel)
+	a.stat.Comp = max(a.stat.Comp, comp)
+	a.stat.Comm = max(a.stat.Comm, comm)
+	a.stat.Loss += loss
+	a.workers++
+	if hot := r.w.hot; hot != nil {
+		acc := float64(hot.Accesses())
+		hit := acc * hot.HitRatio()
+		a.acc += acc
+		a.hit += hit
+		r.w.accTotal += acc
+		r.w.hitTotal += hit
+		hot.ResetStats()
+	}
+	r.ep++
+	r.iter = 0
+	r.done = r.ep > d.cfg.Epochs
+}
+
+// closeEpoch turns epoch ep's aggregate into its record (mean loss, hit
+// ratio, cumulative time), evaluates it at a static barrier on the
+// EvalEvery cadence, and appends it to the result and the timeline.
+func (d *psDriver) closeEpoch(ep int) error {
+	a := d.epochs[ep]
+	delete(d.epochs, ep)
+	stat := a.stat
+	stat.Loss /= float64(a.workers)
+	if a.acc > 0 {
+		stat.HitRatio = a.hit / a.acc
+	}
+	d.cum += stat.Total()
+	stat.CumTime = d.cum
+
+	cfg := d.cfg
+	if d.el == nil && cfg.EvalEvery > 0 && len(cfg.Valid) > 0 && ep%cfg.EvalEvery == 0 {
+		ents, rels, err := d.env.cluster.GatherVia(d.env.tr)
 		if err != nil {
-			return stat, err
+			return err
 		}
 		ev, err := evalNow(cfg, ents, rels)
 		if err != nil {
-			return stat, err
+			return err
 		}
 		stat.MRR = ev.MRR
 	}
-	return stat, nil
+	d.res.Epochs = append(d.res.Epochs, stat)
+	if d.em != nil {
+		return d.em.EmitEpoch(d.round, stat)
+	}
+	return nil
 }
 
 // finalize gathers embeddings, runs the final evaluation, and aggregates

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"hetkg/internal/cache"
 	"hetkg/internal/ckpt"
 	"hetkg/internal/metrics"
 	"hetkg/internal/ps"
@@ -14,24 +13,25 @@ import (
 	"hetkg/internal/telemetry"
 )
 
-// The elastic driver (DESIGN.md §11) is the multi-process deployment of
-// the PS trainers: each hetkg-train process registers with a coordinator,
-// receives partition assignments, and trains them under asynchronous
-// heartbeats. Partitions move between processes — at cold start to spread
-// load, and after a crash to resume a dead worker's range from its last
-// progress snapshot. Epochs are per-partition (ASP: nobody waits), so a
-// worker joining or leaving never restarts anyone's epoch; the run is done
-// when every partition has finished every epoch, and each surviving
-// process then gathers the shards' state and evaluates.
+// Elastic membership (DESIGN.md §11) is the multi-process deployment of
+// the PS trainers: with Config.Elastic set, each hetkg-train process
+// registers with a coordinator, receives partition assignments, and trains
+// them in runPSTraining's loop under asynchronous heartbeats. Partitions
+// move between processes — at cold start to spread load, and after a crash
+// to resume a dead worker's range from its last progress snapshot. Epochs
+// are per-partition (ASP: nobody waits), so a worker joining or leaving
+// never restarts anyone's epoch; the run is done when every partition has
+// finished every epoch, and each surviving process then gathers the
+// shards' state and evaluates.
 
-// ElasticConfig parameterizes one elastic worker process.
+// ElasticConfig parameterizes one elastic worker process (Config.Elastic).
 type ElasticConfig struct {
 	// Coordinator is the joined membership handle: a *ps.CoordClient over
 	// TCP, or a *ps.Membership directly for single-process runs and tests.
 	Coordinator ps.Coordinator
 	// Join, when non-nil, is the already-performed registration (the caller
-	// needed the reply's shard list to build the transport). Left nil,
-	// TrainElastic registers itself.
+	// needed the reply's shard list to build the transport). Left nil, the
+	// trainer registers itself.
 	Join *ps.JoinReply
 	// Label identifies this process in coordinator logs.
 	Label string
@@ -50,48 +50,28 @@ type ElasticConfig struct {
 	RecoverFrom string
 	// CkptEvery is the iteration interval between snapshots (default 16).
 	CkptEvery int
-	// NoCache runs the DGL-KE substrate (no hot-embedding table) instead
-	// of HET-KG.
-	NoCache bool
 	// Logf, when non-nil, receives worker-side cluster events.
 	Logf func(format string, args ...any)
 }
 
-// partRunner is one locally-owned partition's training state.
-type partRunner struct {
-	w    *worker
-	ipe  int // iterations per epoch for this partition
-	ep   int // current 1-based epoch
-	iter int // completed iterations within ep
-	done bool
-}
-
 // progress reports the runner's position as a wire message.
-func (r *partRunner) progress(part int) ps.PartitionProgress {
-	return ps.PartitionProgress{Partition: part, Epoch: r.ep, Iteration: r.iter, Done: r.done}
+func (r *partRunner) progress() ps.PartitionProgress {
+	return ps.PartitionProgress{Partition: r.id, Epoch: r.ep, Iteration: r.iter, Done: r.done}
 }
 
-// elasticObs holds the worker-side cluster counters (nil when unwired).
-type elasticObs struct {
-	ckptWrites  *metrics.Counter
-	ckptResumes *metrics.Counter
-	ckptCorrupt *metrics.Counter
-}
-
-// elastic is one elastic worker process's driver state.
+// elastic is the membership side of an elastic run: the coordinator
+// session that runPSTraining's loop consults between batch turns.
 type elastic struct {
-	cfg  *Config
-	ec   *ElasticConfig
-	env  *psEnv
-	b    *workerBuilder
-	hook func(*worker) error
+	d  *psDriver
+	ec ElasticConfig
 
 	workerID int
 	interval time.Duration
-	runners  map[int]*partRunner
-	all      []*worker // every worker ever built, for finalize accounting
+	lastBeat time.Time
+	failures int // consecutive failed heartbeats
 
-	obs      *elasticObs
+	ckptWrites, ckptResumes, ckptCorrupt *metrics.Counter
+
 	tracer   *span.Tracer
 	beats    int
 	recovers int
@@ -102,77 +82,39 @@ type elastic struct {
 	// heartbeat resolution with no extra timer.
 	telemetrySeq int64
 	telemetryOff bool
-
-	// Per-epoch accounting across local partitions (merged like
-	// epochBarrier: critical-path comp/comm, mean loss). epochCounts holds
-	// how many partitions contributed to each epoch's loss sum.
-	epochs      map[int]*metrics.EpochStat
-	epochCounts map[int]int
 }
 
-// TrainElastic runs one elastic worker process until the whole cluster's
-// partitions complete (or a fatal error). The system trained is HET-KG
-// with cfg.Cache.Strategy (or DGL-KE with ec.NoCache); per-epoch
-// evaluation is disabled — partitions cross epoch boundaries at different
-// times, so only the final barrier evaluates.
-func TrainElastic(cfg Config, ec ElasticConfig) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if ec.Coordinator == nil {
-		return nil, fmt.Errorf("train: elastic run needs a coordinator")
-	}
-	if cfg.WorkersPerMachine > 1 {
-		return nil, fmt.Errorf("train: elastic mode supports 1 worker per machine, got %d", cfg.WorkersPerMachine)
-	}
-	if ec.CkptEvery <= 0 {
-		ec.CkptEvery = 16
-	}
-	if ec.RecoverFrom == "" {
-		ec.RecoverFrom = ec.CkptDir
-	}
-	cfg.LocalMachines = nil // assignment comes from the coordinator
-
-	env, err := setupPS(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	b, err := newWorkerBuilder(&cfg, env.cluster, env.part, env.tr, !ec.NoCache)
-	if err != nil {
-		return nil, err
-	}
+// joinElastic registers with the coordinator (unless Config.Elastic.Join
+// already did) and adopts the initial assignment.
+func joinElastic(d *psDriver) (*elastic, error) {
+	cfg := d.cfg
 	e := &elastic{
-		cfg:         &cfg,
-		ec:          &ec,
-		env:         env,
-		b:           b,
-		runners:     make(map[int]*partRunner),
-		epochs:      make(map[int]*metrics.EpochStat),
-		epochCounts: make(map[int]int),
+		d:           d,
+		ec:          *cfg.Elastic,
+		ckptWrites:  cfg.Metrics.Counter(metrics.MClusterCkptWrites),
+		ckptResumes: cfg.Metrics.Counter(metrics.MClusterCkptResumes),
+		ckptCorrupt: cfg.Metrics.Counter(metrics.MClusterCkptCorrupt),
 	}
-	if !ec.NoCache {
-		e.hook = hetkgHook(&cfg)
+	if e.ec.CkptEvery <= 0 {
+		e.ec.CkptEvery = 16
 	}
-	if cfg.Metrics != nil {
-		e.obs = &elasticObs{
-			ckptWrites:  cfg.Metrics.Counter(metrics.MClusterCkptWrites),
-			ckptResumes: cfg.Metrics.Counter(metrics.MClusterCkptResumes),
-			ckptCorrupt: cfg.Metrics.Counter(metrics.MClusterCkptCorrupt),
-		}
+	if e.ec.RecoverFrom == "" {
+		e.ec.RecoverFrom = e.ec.CkptDir
 	}
 	if cfg.Spans != nil {
 		e.tracer = cfg.Spans.Tracer(span.MachineCluster, span.WorkerCluster)
 	}
 
-	join := ec.Join
+	join := e.ec.Join
 	if join == nil {
-		join, err = ec.Coordinator.Join(ps.JoinRequest{Label: ec.Label, Preferred: ec.Preferred})
+		var err error
+		join, err = e.ec.Coordinator.Join(ps.JoinRequest{Label: e.ec.Label, Preferred: e.ec.Preferred})
 		if err != nil {
 			return nil, fmt.Errorf("train: joining cluster: %w", err)
 		}
 	}
 	e.workerID = join.WorkerID
-	e.interval = ec.HeartbeatEvery
+	e.interval = e.ec.HeartbeatEvery
 	if e.interval <= 0 {
 		e.interval = join.HeartbeatEvery
 	}
@@ -186,7 +128,8 @@ func TrainElastic(cfg Config, ec ElasticConfig) (*Result, error) {
 	if err := e.reconcile(join.Assignments); err != nil {
 		return nil, err
 	}
-	return e.run()
+	e.lastBeat = time.Now()
+	return e, nil
 }
 
 // logf forwards worker-side cluster events.
@@ -196,79 +139,53 @@ func (e *elastic) logf(format string, args ...any) {
 	}
 }
 
-// run is the driver loop: one turn per active partition per round, a
-// synchronous heartbeat whenever the cadence elapses, and an idle sleep
-// when this process owns nothing runnable.
-func (e *elastic) run() (*Result, error) {
-	lastBeat := time.Now()
-	failures := 0
-	for {
-		if time.Since(lastBeat) >= e.interval {
-			allDone, err := e.heartbeat()
-			if err != nil {
-				failures++
-				e.logf("cluster: heartbeat failed (%d consecutive): %v", failures, err)
-				if failures >= 3 {
-					return nil, fmt.Errorf("train: lost the coordinator (%d heartbeats failed): %w", failures, err)
-				}
-			} else {
-				failures = 0
-				if allDone {
-					break
-				}
-			}
-			lastBeat = time.Now()
-		}
-		progressed := false
-		for _, part := range e.sortedParts() {
-			r := e.runners[part]
-			if r.done || r.w == nil {
-				continue
-			}
-			if err := e.turn(part, r); err != nil {
-				return nil, err
-			}
-			progressed = true
-			if time.Since(lastBeat) >= e.interval {
-				break // don't let a long round starve failure detection
-			}
-		}
-		if !progressed {
-			// Nothing runnable: idle until the next heartbeat can bring
-			// reassigned work (or the all-done signal).
-			time.Sleep(sleepQuantum(e.interval))
-		}
-	}
-	// Graceful exit: release partitions with exact final progress.
-	if err := e.ec.Coordinator.Leave(ps.LeaveRequest{WorkerID: e.workerID, Progress: e.progressAll()}); err != nil {
-		e.logf("cluster: leave failed (harmless after all-done): %v", err)
-	}
-	return e.finish()
+// beatDue reports whether the heartbeat cadence has elapsed.
+func (e *elastic) beatDue() bool {
+	return time.Since(e.lastBeat) >= e.interval
 }
 
-// turn runs one batch turn for partition part and advances its position:
-// epoch boundaries record stats, the snapshot cadence persists progress,
-// and the final epoch's completion marks the partition done.
-func (e *elastic) turn(part int, r *partRunner) error {
-	if err := r.w.turn(e.hook); err != nil {
-		return fmt.Errorf("train: partition %d: %w", part, err)
+// beat sends a heartbeat when one is due and reports whether the whole
+// cluster is done; on done it first leaves with exact final progress.
+// Three consecutive failed heartbeats mean the coordinator is lost.
+func (e *elastic) beat() (allDone bool, err error) {
+	if !e.beatDue() {
+		return false, nil
 	}
-	r.iter++
+	allDone, err = e.heartbeat()
+	e.lastBeat = time.Now()
+	if err != nil {
+		e.failures++
+		e.logf("cluster: heartbeat failed (%d consecutive): %v", e.failures, err)
+		if e.failures >= 3 {
+			return false, fmt.Errorf("train: lost the coordinator (%d heartbeats failed): %w", e.failures, err)
+		}
+		return false, nil
+	}
+	e.failures = 0
+	if allDone {
+		// Graceful exit: release partitions with exact final progress.
+		if err := e.ec.Coordinator.Leave(ps.LeaveRequest{WorkerID: e.workerID, Progress: e.progressAll()}); err != nil {
+			e.logf("cluster: leave failed (harmless after all-done): %v", err)
+		}
+	}
+	return allDone, nil
+}
+
+// afterTurn advances partition r after a batch turn: with no barrier in
+// elastic mode, a finished epoch is recorded at once, and progress is
+// snapshotted on the CkptEvery cadence and at every epoch end.
+func (e *elastic) afterTurn(r *partRunner) {
 	snapshot := r.iter%e.ec.CkptEvery == 0
 	if r.iter >= r.ipe {
-		e.recordEpoch(r)
-		r.ep++
-		r.iter = 0
-		if r.ep > e.cfg.Epochs {
-			r.done = true
-			e.logf("cluster: partition %d done (%d epochs)", part, e.cfg.Epochs)
+		e.d.recordEpoch(r)
+		if r.done {
+			e.logf("cluster: partition %d done (%d epochs)", r.id, e.d.cfg.Epochs)
 		}
 		snapshot = true
 	}
 	if snapshot {
-		e.writeSnapshot(part, r)
+		e.writeSnapshot(r)
 	}
-	return nil
 }
 
 // heartbeat sends one progress report and applies the reply: adoption and
@@ -285,7 +202,7 @@ func (e *elastic) heartbeat() (allDone bool, err error) {
 		// The coordinator expired us (a long stall on our side). Re-join,
 		// preferring the partitions we still hold — if nobody adopted them
 		// meanwhile, we get them back without losing local state.
-		join, err := e.ec.Coordinator.Join(ps.JoinRequest{Label: e.ec.Label, Preferred: e.sortedParts()})
+		join, err := e.ec.Coordinator.Join(ps.JoinRequest{Label: e.ec.Label, Preferred: e.heldParts()})
 		if err != nil {
 			return false, fmt.Errorf("re-joining after expiry: %w", err)
 		}
@@ -305,7 +222,7 @@ func (e *elastic) heartbeat() (allDone bool, err error) {
 // after the first refusal (a coordinator without an aggregator refuses by
 // name; telemetry must never interfere with training).
 func (e *elastic) shipTelemetry() {
-	if e.telemetryOff || e.cfg.Metrics == nil {
+	if e.telemetryOff {
 		return
 	}
 	sender, ok := e.ec.Coordinator.(telemetry.Sender)
@@ -318,7 +235,7 @@ func (e *elastic) shipTelemetry() {
 		Role:    telemetry.RoleWorker,
 		Label:   e.telemetryLabel(),
 		Seq:     e.telemetrySeq,
-		Metrics: e.cfg.Metrics.Snapshot(),
+		Metrics: e.d.cfg.Metrics.Snapshot(),
 	})
 	if err != nil {
 		e.telemetryOff = true
@@ -339,44 +256,55 @@ func (e *elastic) telemetryLabel() string {
 // list: absent assignments are adopted (resuming from snapshot or hint),
 // local partitions no longer assigned are dropped.
 func (e *elastic) reconcile(assignments []ps.Assignment) error {
+	held := make(map[int]bool, len(e.d.runners))
+	for _, r := range e.d.runners {
+		held[r.id] = true
+	}
 	assigned := make(map[int]bool, len(assignments))
 	for _, a := range assignments {
 		assigned[a.Partition] = true
-		if _, ok := e.runners[a.Partition]; !ok {
-			if err := e.adopt(a); err != nil {
+		if !held[a.Partition] {
+			r, err := e.adopt(a)
+			if err != nil {
 				return err
 			}
+			e.d.runners = append(e.d.runners, r)
 		}
 	}
-	for part := range e.runners {
-		if !assigned[part] && !e.runners[part].done {
+	kept := e.d.runners[:0]
+	for _, r := range e.d.runners {
+		if !assigned[r.id] && !r.done {
 			// Reassigned away (cold-start balancing). Drop without a
 			// snapshot — the new owner resumes from the coordinator's hint.
-			delete(e.runners, part)
-			e.logf("cluster: partition %d reassigned away", part)
+			e.logf("cluster: partition %d reassigned away", r.id)
+			continue
 		}
+		kept = append(kept, r)
 	}
+	sort.Slice(kept, func(i, j int) bool { return kept[i].id < kept[j].id })
+	e.d.runners = kept
 	return nil
 }
 
-// adopt builds partition a.Partition's worker and fast-forwards it to the
+// adopt builds partition a.Partition's runner and fast-forwards it to the
 // resume point: the furthest of the coordinator's hint and a valid local
 // progress snapshot. The deterministic sampler makes the fast-forward
 // exact — worker id equals partition, so the adopted stream is the same
 // one the dead owner was consuming.
-func (e *elastic) adopt(a ps.Assignment) error {
+func (e *elastic) adopt(a ps.Assignment) (*partRunner, error) {
 	sp := e.tracer.RootNamed(e.recovers, span.NClusterRecover)
 	e.recovers++
 	defer sp.End()
 
+	cfg := e.d.cfg
 	part := a.Partition
-	if part < 0 || part >= e.cfg.NumMachines {
-		return fmt.Errorf("train: assigned partition %d out of range [0,%d)", part, e.cfg.NumMachines)
+	if part < 0 || part >= cfg.NumMachines {
+		return nil, fmt.Errorf("train: assigned partition %d out of range [0,%d)", part, cfg.NumMachines)
 	}
-	if e.b.subs[part].NumTriples() == 0 {
+	finished := &partRunner{id: part, ep: cfg.Epochs, done: true}
+	if e.d.b.subs[part].NumTriples() == 0 {
 		// An empty partition has nothing to train; report it done.
-		e.runners[part] = &partRunner{ep: e.cfg.Epochs, done: true}
-		return nil
+		return finished, nil
 	}
 	ep, iter := a.Epoch, a.Iteration
 	if ep < 1 {
@@ -384,26 +312,21 @@ func (e *elastic) adopt(a ps.Assignment) error {
 	}
 	if snap := e.readSnapshot(part); snap != nil {
 		if snap.Done {
-			e.runners[part] = &partRunner{ep: e.cfg.Epochs, done: true}
-			return nil
+			return finished, nil
 		}
 		if snap.Epoch > ep || (snap.Epoch == ep && snap.Iteration > iter) {
 			ep, iter = snap.Epoch, snap.Iteration
 		}
 	}
-	w, err := e.b.build(part, part) // worker id = partition: seeds must match any prior owner
+	w, err := e.d.b.build(part, part) // worker id = partition: seeds must match any prior owner
 	if err != nil {
-		return err
+		return nil, err
 	}
-	e.all = append(e.all, w)
-	r := &partRunner{w: w, ipe: w.smp.IterationsPerEpoch(), ep: ep, iter: iter}
-	if r.ipe == 0 {
+	e.d.all = append(e.d.all, w)
+	r := &partRunner{id: part, w: w, ipe: w.smp.IterationsPerEpoch(), ep: ep, iter: iter}
+	if r.ipe == 0 || r.ep > cfg.Epochs {
 		r.done = true
-		e.runners[part] = r
-		return nil
-	}
-	if r.ep > e.cfg.Epochs {
-		r.done = true
+		return r, nil
 	}
 	// Fast-forward the sampler past every batch the partition already
 	// trained on; w.iteration follows so cache staleness bookkeeping and
@@ -414,15 +337,12 @@ func (e *elastic) adopt(a ps.Assignment) error {
 	}
 	w.iteration = skip
 	if skip > 0 {
-		if o := e.obs; o != nil {
-			o.ckptResumes.Inc()
-		}
+		e.ckptResumes.Inc()
 		e.logf("cluster: adopted partition %d at epoch %d iter %d (skipped %d batches)", part, r.ep, r.iter, skip)
 	} else {
 		e.logf("cluster: adopted partition %d fresh", part)
 	}
-	e.runners[part] = r
-	return nil
+	return r, nil
 }
 
 // readSnapshot loads partition part's progress snapshot, distinguishing
@@ -435,17 +355,13 @@ func (e *elastic) readSnapshot(part int) *ckpt.Progress {
 	snap, err := ckpt.ReadProgressFile(e.ec.RecoverFrom, part)
 	if err != nil {
 		if !os.IsNotExist(err) {
-			if o := e.obs; o != nil {
-				o.ckptCorrupt.Inc()
-			}
+			e.ckptCorrupt.Inc()
 			e.logf("cluster: snapshot for partition %d unusable, resuming from hint: %v", part, err)
 		}
 		return nil
 	}
-	if snap.Seed != e.cfg.Seed || snap.Dataset != e.cfg.Dataset {
-		if o := e.obs; o != nil {
-			o.ckptCorrupt.Inc()
-		}
+	if cfg := e.d.cfg; snap.Seed != cfg.Seed || snap.Dataset != cfg.Dataset {
+		e.ckptCorrupt.Inc()
 		e.logf("cluster: snapshot for partition %d is from another run (seed %d dataset %q), ignoring",
 			part, snap.Seed, snap.Dataset)
 		return nil
@@ -453,27 +369,26 @@ func (e *elastic) readSnapshot(part int) *ckpt.Progress {
 	return snap
 }
 
-// writeSnapshot persists partition part's position (best effort — a failed
+// writeSnapshot persists partition r's position (best effort — a failed
 // write degrades recovery granularity, not correctness).
-func (e *elastic) writeSnapshot(part int, r *partRunner) {
+func (e *elastic) writeSnapshot(r *partRunner) {
 	if e.ec.CkptDir == "" {
 		return
 	}
+	cfg := e.d.cfg
 	err := ckpt.WriteProgressFile(e.ec.CkptDir, &ckpt.Progress{
-		Partition: part,
-		Epoch:     min(r.ep, e.cfg.Epochs),
+		Partition: r.id,
+		Epoch:     min(r.ep, cfg.Epochs),
 		Iteration: r.iter,
 		Done:      r.done,
-		Dataset:   e.cfg.Dataset,
-		Seed:      e.cfg.Seed,
+		Dataset:   cfg.Dataset,
+		Seed:      cfg.Seed,
 	})
 	if err != nil {
-		e.logf("cluster: snapshot write for partition %d failed: %v", part, err)
+		e.logf("cluster: snapshot write for partition %d failed: %v", r.id, err)
 		return
 	}
-	if o := e.obs; o != nil {
-		o.ckptWrites.Inc()
-	}
+	e.ckptWrites.Inc()
 }
 
 // progressAll reports every local partition's position (done partitions
@@ -481,95 +396,19 @@ func (e *elastic) writeSnapshot(part int, r *partRunner) {
 // assignment set — idempotent against lost replies).
 func (e *elastic) progressAll() []ps.PartitionProgress {
 	var out []ps.PartitionProgress
-	for _, part := range e.sortedParts() {
-		out = append(out, e.runners[part].progress(part))
+	for _, r := range e.d.runners {
+		out = append(out, r.progress())
 	}
 	return out
 }
 
-// sortedParts lists locally-held partitions in index order, so turn
-// scheduling and progress reports are deterministic.
-func (e *elastic) sortedParts() []int {
-	parts := make([]int, 0, len(e.runners))
-	for p := range e.runners {
-		parts = append(parts, p)
+// heldParts lists locally-held partitions in index order.
+func (e *elastic) heldParts() []int {
+	parts := make([]int, 0, len(e.d.runners))
+	for _, r := range e.d.runners {
+		parts = append(parts, r.id)
 	}
-	sort.Ints(parts)
 	return parts
-}
-
-// recordEpoch folds one partition's completed epoch into the per-epoch
-// aggregate (critical-path comp/comm across local partitions, summed loss
-// averaged at finish).
-func (e *elastic) recordEpoch(r *partRunner) {
-	comp, comm, loss := r.w.epochStats(e.cfg.CostModel)
-	st := e.epochs[r.ep]
-	if st == nil {
-		st = &metrics.EpochStat{Epoch: r.ep}
-		e.epochs[r.ep] = st
-	}
-	if comp > st.Comp {
-		st.Comp = comp
-	}
-	if comm > st.Comm {
-		st.Comm = comm
-	}
-	st.Loss += loss // sum here; finish() divides by the contribution count
-	e.epochCounts[r.ep]++
-	if hot := r.w.hot; hot != nil {
-		acc := float64(hot.Accesses())
-		r.w.accTotal += acc
-		r.w.hitTotal += acc * hot.HitRatio()
-		hot.ResetStats()
-	}
-}
-
-// finish assembles the Result: locally-observed epoch stats, the gathered
-// embedding state, and the final evaluation.
-func (e *elastic) finish() (*Result, error) {
-	name := "HET-KG-C/elastic"
-	if e.ec.NoCache {
-		name = "DGL-KE/elastic"
-	} else if e.cfg.Cache.Strategy == cache.DPS {
-		name = "HET-KG-D/elastic"
-	}
-	res := &Result{System: name, Metrics: e.cfg.Metrics}
-	var cum time.Duration
-	for ep := 1; ep <= e.cfg.Epochs; ep++ {
-		st := e.epochs[ep]
-		if st == nil {
-			continue // no local partition crossed this boundary
-		}
-		if n := e.epochCounts[ep]; n > 0 {
-			st.Loss /= float64(n)
-		}
-		// st.MRR stays 0: per-epoch eval needs a barrier elastic mode
-		// doesn't have; only the final evaluation scores.
-		cum += st.Total()
-		st.CumTime = cum
-		res.Epochs = append(res.Epochs, *st)
-	}
-	if err := writeEpochs(e.cfg, name, res.Epochs); err != nil {
-		return nil, err
-	}
-	if len(e.all) == 0 {
-		// This process never trained a batch (pure spare). Gather and
-		// evaluate anyway so its Result reflects the cluster's final state.
-		ents, rels, err := e.env.cluster.GatherVia(e.env.tr)
-		if err != nil {
-			return nil, err
-		}
-		res.Entities, res.Relations = ents, rels
-		if e.cfg.EvalEvery > 0 && len(e.cfg.Valid) > 0 {
-			ev, err := evalNow(e.cfg, ents, rels)
-			if err != nil {
-				return nil, err
-			}
-			res.Final = ev
-		}
-		return res, nil
-	}
-	return finalize(e.cfg, e.env, e.all, res)
 }
 
 // sleepQuantum bounds the idle sleep so heartbeats stay responsive even

@@ -33,9 +33,10 @@ func TestElasticSingleWorkerTrains(t *testing.T) {
 	var tl bytes.Buffer
 	cfg.Timeline = &tl
 	m := elasticMembership(t, 2)
-	res, err := TrainElastic(cfg, ElasticConfig{Coordinator: m, Label: "solo"})
+	cfg.Elastic = &ElasticConfig{Coordinator: m, Label: "solo"}
+	res, err := TrainHETKG(cfg)
 	if err != nil {
-		t.Fatalf("TrainElastic: %v", err)
+		t.Fatalf("TrainHETKG: %v", err)
 	}
 	if res.System != "HET-KG-C/elastic" {
 		t.Errorf("System = %q", res.System)
@@ -53,19 +54,56 @@ func TestElasticSingleWorkerTrains(t *testing.T) {
 	if !m.AllDone() {
 		t.Error("coordinator does not agree the run finished")
 	}
-	// The timeline holds one epoch record per recorded epoch.
+	// The timeline holds iteration records from the driver loop and one
+	// epoch record per recorded epoch.
 	run, err := metrics.ReadTimeline(&tl)
 	if err != nil {
 		t.Fatalf("ReadTimeline: %v", err)
 	}
-	if len(run.Records) != len(res.Epochs) || run.Header.System != res.System {
-		t.Fatalf("timeline %+v with %d records, want %d epoch records of %s",
-			run.Header, len(run.Records), len(res.Epochs), res.System)
+	if run.Header.System != res.System {
+		t.Fatalf("timeline system %q, want %q", run.Header.System, res.System)
 	}
-	for i, rec := range run.Records {
-		if !rec.EpochEnd || rec.Epoch != res.Epochs[i].Epoch || rec.Loss != res.Epochs[i].Loss {
-			t.Errorf("record %d = %+v, want epoch %+v", i, rec, res.Epochs[i])
+	var epochs []metrics.TimelineRecord
+	iters := 0
+	for _, rec := range run.Records {
+		if rec.EpochEnd {
+			epochs = append(epochs, rec)
+		} else {
+			iters++
 		}
+	}
+	if iters == 0 {
+		t.Error("timeline has no iteration records")
+	}
+	if len(epochs) != len(res.Epochs) {
+		t.Fatalf("timeline has %d epoch records, want %d", len(epochs), len(res.Epochs))
+	}
+	for i, rec := range epochs {
+		if rec.Epoch != res.Epochs[i].Epoch || rec.Loss != res.Epochs[i].Loss {
+			t.Errorf("epoch record %d = %+v, want epoch %+v", i, rec, res.Epochs[i])
+		}
+	}
+}
+
+// TestElasticDGLKE: elastic membership is a hook on the shared PS loop, so
+// the cacheless trainer runs elastic too, without a hot-embedding table.
+func TestElasticDGLKE(t *testing.T) {
+	cfg := testConfig(t, 2)
+	m := elasticMembership(t, 2)
+	cfg.Elastic = &ElasticConfig{Coordinator: m, Label: "solo"}
+	res, err := TrainDGLKE(cfg)
+	if err != nil {
+		t.Fatalf("TrainDGLKE: %v", err)
+	}
+	if res.System != "DGL-KE/elastic" {
+		t.Errorf("System = %q", res.System)
+	}
+	if len(res.Epochs) != cfg.Epochs || res.CacheAccesses != 0 {
+		t.Errorf("recorded %d epochs and %d cache accesses, want %d and 0",
+			len(res.Epochs), res.CacheAccesses, cfg.Epochs)
+	}
+	if !m.AllDone() {
+		t.Error("coordinator does not agree the run finished")
 	}
 }
 
@@ -86,8 +124,9 @@ func TestElasticShipsTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TrainElastic(cfg, ElasticConfig{Coordinator: m, Label: "solo"}); err != nil {
-		t.Fatalf("TrainElastic: %v", err)
+	cfg.Elastic = &ElasticConfig{Coordinator: m, Label: "solo"}
+	if _, err := TrainHETKG(cfg); err != nil {
+		t.Fatalf("TrainHETKG: %v", err)
 	}
 	v := fleet.View()
 	if len(v.Processes) != 1 {
@@ -115,8 +154,9 @@ func TestElasticTelemetryDisabledWithoutAggregator(t *testing.T) {
 	cfg.Dataset = "traintest"
 	cfg.Metrics = metrics.NewRegistry()
 	m := elasticMembership(t, 2)
-	if _, err := TrainElastic(cfg, ElasticConfig{Coordinator: m, Label: "mute"}); err != nil {
-		t.Fatalf("TrainElastic: %v", err)
+	cfg.Elastic = &ElasticConfig{Coordinator: m, Label: "mute"}
+	if _, err := TrainHETKG(cfg); err != nil {
+		t.Fatalf("TrainHETKG: %v", err)
 	}
 	if !m.AllDone() {
 		t.Error("run did not finish")
@@ -144,11 +184,12 @@ func TestElasticResumeFromSnapshot(t *testing.T) {
 		Dataset: cfg.Dataset, Seed: cfg.Seed})
 
 	m := elasticMembership(t, 2)
-	res, err := TrainElastic(cfg, ElasticConfig{
+	cfg.Elastic = &ElasticConfig{
 		Coordinator: m, Label: "resumer", CkptDir: dir, CkptEvery: 4,
-	})
+	}
+	res, err := TrainHETKG(cfg)
 	if err != nil {
-		t.Fatalf("TrainElastic: %v", err)
+		t.Fatalf("TrainHETKG: %v", err)
 	}
 	if res.Final.MRR <= 0 {
 		t.Errorf("final MRR = %.3f after resume", res.Final.MRR)
@@ -188,11 +229,12 @@ func TestElasticIgnoresForeignAndCorruptSnapshots(t *testing.T) {
 	}
 
 	m := elasticMembership(t, 2)
-	res, err := TrainElastic(cfg, ElasticConfig{
+	cfg.Elastic = &ElasticConfig{
 		Coordinator: m, Label: "skeptic", RecoverFrom: dir,
-	})
+	}
+	res, err := TrainHETKG(cfg)
 	if err != nil {
-		t.Fatalf("TrainElastic: %v", err)
+		t.Fatalf("TrainHETKG: %v", err)
 	}
 	if got := cfg.Metrics.Counter(metrics.MClusterCkptCorrupt).Value(); got != 2 {
 		t.Errorf("cluster.ckpt_corrupt = %d, want 2", got)
@@ -217,11 +259,12 @@ func TestElasticTwoWorkersSplitThePartitions(t *testing.T) {
 			defer wg.Done()
 			cfg := testConfig(t, 2)
 			cfg.Dataset = "traintest"
-			results[i], errs[i] = TrainElastic(cfg, ElasticConfig{
+			cfg.Elastic = &ElasticConfig{
 				Coordinator: m,
 				Label:       "peer",
 				Preferred:   []int{i},
-			})
+			}
+			results[i], errs[i] = TrainHETKG(cfg)
 		}()
 	}
 	wg.Wait()

@@ -18,36 +18,24 @@ func TrainHETKG(cfg Config) (*Result, error) {
 	if cfg.Cache.Capacity < 0 {
 		return nil, fmt.Errorf("train: negative cache capacity %d", cfg.Cache.Capacity)
 	}
-	env, err := setupPS(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	workers, err := newWorkers(&cfg, env.cluster, env.part, env.tr, true)
-	if err != nil {
-		return nil, err
-	}
-
 	name := "HET-KG-C"
 	if cfg.Cache.Strategy == cache.DPS {
 		name = "HET-KG-D"
 	}
-	return runPSTraining(&cfg, env, workers, name, hetkgHook(&cfg))
+	return runPSTraining(&cfg, name, hetkgHook(&cfg))
 }
 
 // hetkgHook builds the HET-KG per-iteration hook: prefetch (Algorithm 1),
 // hot-table construction via filter (Algorithm 2), and the CPS/DPS build
-// policy. The hook is shared by the static trainer (TrainHETKG) and the
-// elastic driver, which installs it on workers it adopts mid-run — the
-// one-shot CPS build is keyed by worker id, so an adopted partition's
-// table is rebuilt once in its new process and then stays fixed.
+// policy. The one-shot CPS build is marked on the worker itself, so a
+// worker built for an adopted (or re-adopted) partition builds its table
+// once and then keeps it fixed.
 func hetkgHook(cfg *Config) func(*worker) error {
 	filterCfg := cache.FilterConfig{
 		Capacity:       cfg.Cache.Capacity,
 		EntityFraction: cfg.Cache.EntityFraction,
 		Heterogeneity:  cfg.Cache.Heterogeneity,
 	}
-	built := make(map[int]bool) // CPS: one build per worker
-
 	return func(w *worker) error {
 		// Staleness synchronization (Algorithm 3 lines 8–9) is per-row:
 		// the cache expires entries older than P at Get time and the
@@ -66,7 +54,7 @@ func hetkgHook(cfg *Config) func(*worker) error {
 			}
 			pre := cache.Prefetch(w.smp, d)
 			w.queued = pre.Batches
-			if !built[w.id] {
+			if !w.cpsBuilt {
 				// One-shot construction from the whole-subgraph census.
 				keys, err := cache.Filter(pre, filterCfg)
 				if err != nil {
@@ -75,7 +63,7 @@ func hetkgHook(cfg *Config) func(*worker) error {
 				if err := w.hot.Build(keys, w.iteration); err != nil {
 					return err
 				}
-				built[w.id] = true
+				w.cpsBuilt = true
 			}
 		case cache.DPS:
 			d := cfg.Cache.PrefetchD

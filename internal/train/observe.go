@@ -8,7 +8,7 @@ import (
 
 // trainObs is the train-level view of a run's registry: the handles the
 // scheduling loop and workers bump directly. One instance is shared by all
-// workers of a run (newWorkers), so the series aggregate across workers the
+// workers of a run (workerBuilder), so the series aggregate across workers the
 // same way the cache/client/meter series do.
 type trainObs struct {
 	iterations  *metrics.Counter
@@ -52,12 +52,12 @@ func newTrainObs(reg *metrics.Registry) *trainObs {
 }
 
 // runningLoss is the mean pair loss across workers' running epoch averages
-// — the same aggregation epochBarrier reports, read mid-epoch.
-func runningLoss(workers []*worker) float64 {
+// — the same aggregation closeEpoch reports, read mid-epoch.
+func runningLoss(runners []*partRunner) float64 {
 	var sum float64
 	n := 0
-	for _, w := range workers {
-		if w.lossCount > 0 {
+	for _, r := range runners {
+		if w := r.w; w != nil && w.lossCount > 0 {
 			sum += w.lossSum / float64(w.lossCount)
 			n++
 		}
@@ -83,7 +83,7 @@ func openTimeline(cfg *Config, system string) (*metrics.TimelineEmitter, error) 
 }
 
 // writeEpochs writes one epoch record per entry of epochs and flushes: the
-// whole timeline of a trainer without per-iteration records (PBG, elastic).
+// whole timeline of a trainer without per-iteration records (PBG).
 func writeEpochs(cfg *Config, system string, epochs []metrics.EpochStat) error {
 	em, err := openTimeline(cfg, system)
 	if em == nil || err != nil {
@@ -102,10 +102,10 @@ func writeEpochs(cfg *Config, system string, epochs []metrics.EpochStat) error {
 // under the record's "metrics" key is deterministic; wall-clock readings
 // (elapsed, computation time, throughput) ride in the separate "wall"
 // object.
-func emitTimeline(em *metrics.TimelineEmitter, o *trainObs, workers []*worker,
+func emitTimeline(em *metrics.TimelineEmitter, o *trainObs, runners []*partRunner,
 	iter, epoch int, start time.Time) error {
 
-	loss := runningLoss(workers)
+	loss := runningLoss(runners)
 	o.loss.Set(loss)
 	o.epoch.Set(float64(epoch))
 	if h, m := o.cacheHits.Value(), o.cacheMisses.Value(); h+m > 0 {

@@ -120,6 +120,37 @@ func TestHETKGCPSReducesRemoteTraffic(t *testing.T) {
 	}
 }
 
+// TestCPSTableBuiltPerWorker: the one-shot CPS build belongs to the worker
+// object, so a partition re-adopted by the same process (a new worker with
+// the same id) builds its table again instead of training with an empty one.
+func TestCPSTableBuiltPerWorker(t *testing.T) {
+	cfg := testConfig(t, 2)
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	env, err := setupPS(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hook := hetkgHook(&cfg)
+	b, err := newWorkerBuilder(&cfg, env, hook)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		w, err := b.build(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := hook(w); err != nil {
+			t.Fatal(err)
+		}
+		if w.hot.Len() == 0 {
+			t.Errorf("worker object %d for id 0: CPS table empty", i)
+		}
+	}
+}
+
 func TestHETKGDPS(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Cache.Strategy = cache.DPS
@@ -287,8 +318,11 @@ func TestMoreMachinesMoreRemoteComm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1 := r1.Traffic.RemoteFraction()
-	f4 := r4.Traffic.RemoteFraction()
+	remoteShare := func(s netsim.Snapshot) float64 {
+		return float64(s.RemoteBytes) / float64(s.LocalBytes+s.RemoteBytes)
+	}
+	f1 := remoteShare(r1.Traffic)
+	f4 := remoteShare(r4.Traffic)
 	if f4 <= f1 {
 		t.Errorf("remote fraction with 4 machines (%.3f) not above 1 machine (%.3f)", f4, f1)
 	}

@@ -11,7 +11,6 @@ import (
 	"hetkg/internal/kg"
 	"hetkg/internal/netsim"
 	"hetkg/internal/par"
-	"hetkg/internal/partition"
 	"hetkg/internal/ps"
 	"hetkg/internal/sampler"
 	"hetkg/internal/span"
@@ -54,6 +53,8 @@ type worker struct {
 
 	// queued holds prefetched batches to replay (HET-KG).
 	queued []*sampler.Batch
+	// cpsBuilt marks the one-shot CPS table build as done (HET-KG-C).
+	cpsBuilt bool
 	// iteration counts processed batches for staleness bookkeeping.
 	iteration int
 	// pushBuf holds gradient rows for unreachable shards, coalesced by
@@ -70,38 +71,35 @@ type worker struct {
 }
 
 // workerBuilder constructs individual workers over the partitioned
-// subgraphs — the shared machinery of newWorkers (static deployments, all
-// workers up front) and the elastic driver (workers built and rebuilt as
-// the coordinator assigns partitions).
+// subgraphs — all up front for a static run (buildLocal), or as the
+// coordinator assigns partitions for an elastic one.
 type workerBuilder struct {
-	cfg       *Config
-	cluster   *ps.Cluster
-	subs      []*kg.Graph
-	tr        ps.Transport
-	tobs      *trainObs
-	prof      ps.Profile
-	withCache bool
+	cfg     *Config
+	cluster *ps.Cluster
+	subs    []*kg.Graph
+	tr      ps.Transport
+	tobs    *trainObs
+	prof    ps.Profile
+	// perIteration is the trainer's per-turn hook (runPSTraining); when
+	// non-nil every built worker gets a hot-embedding table for it to
+	// maintain.
+	perIteration func(*worker) error
 }
 
-// newWorkerBuilder prepares shared state for building workers. withCache
-// attaches a HotCache configured from cfg.Cache to each built worker.
-func newWorkerBuilder(cfg *Config, cluster *ps.Cluster, part *partition.Result, tr ps.Transport, withCache bool) (*workerBuilder, error) {
+// newWorkerBuilder prepares shared state for building workers.
+func newWorkerBuilder(cfg *Config, env *psEnv, perIteration func(*worker) error) (*workerBuilder, error) {
 	prof, err := ps.ResolveProfile(cfg.Codec)
 	if err != nil {
 		return nil, err
 	}
-	var tobs *trainObs
-	if cfg.Metrics != nil {
-		tobs = newTrainObs(cfg.Metrics)
-	}
 	return &workerBuilder{
-		cfg:       cfg,
-		cluster:   cluster,
-		subs:      part.Subgraphs(cfg.Graph),
-		tr:        tr,
-		tobs:      tobs,
-		prof:      prof,
-		withCache: withCache,
+		cfg:          cfg,
+		cluster:      env.cluster,
+		subs:         env.part.Subgraphs(cfg.Graph),
+		tr:           env.tr,
+		tobs:         newTrainObs(cfg.Metrics),
+		prof:         prof,
+		perIteration: perIteration,
 	}, nil
 }
 
@@ -150,7 +148,7 @@ func (b *workerBuilder) build(m, id int) (*worker, error) {
 		w.tracer = cfg.Spans.Tracer(m, id)
 		client.Trace(w.tracer)
 	}
-	if b.withCache {
+	if b.perIteration != nil {
 		hot, err := cache.New(client, cfg.NewOptimizer(), cfg.Cache.SyncEvery)
 		if err != nil {
 			return nil, err
@@ -166,13 +164,12 @@ func (b *workerBuilder) build(m, id int) (*worker, error) {
 	return w, nil
 }
 
-// newWorkers builds one worker per (machine, slot) over the partitioned
-// subgraphs. withCache attaches a HotCache configured from cfg.Cache.
-func newWorkers(cfg *Config, cluster *ps.Cluster, part *partition.Result, tr ps.Transport, withCache bool) ([]*worker, error) {
-	b, err := newWorkerBuilder(cfg, cluster, part, tr, withCache)
-	if err != nil {
-		return nil, err
-	}
+// buildLocal builds one worker per (machine, slot) of this process's
+// machines. Worker ids are m*WorkersPerMachine+s in every deployment, so a
+// machine's sampler seeds do not depend on which other machines this
+// process runs or which of them are empty.
+func (b *workerBuilder) buildLocal() ([]*worker, error) {
+	cfg := b.cfg
 	local := func(m int) bool {
 		if len(cfg.LocalMachines) == 0 {
 			return true
@@ -185,24 +182,18 @@ func newWorkers(cfg *Config, cluster *ps.Cluster, part *partition.Result, tr ps.
 		return false
 	}
 	var workers []*worker
-	id := 0
 	for m := 0; m < cfg.NumMachines; m++ {
-		if !local(m) {
-			id += cfg.WorkersPerMachine // keep worker seeds stable across deployments
-			continue
-		}
-		if b.subs[m].NumTriples() == 0 {
+		if !local(m) || b.subs[m].NumTriples() == 0 {
 			// A machine with no triples contributes no worker; its shard
 			// still serves pulls.
 			continue
 		}
 		for s := 0; s < cfg.WorkersPerMachine; s++ {
-			w, err := b.build(m, id)
+			w, err := b.build(m, m*cfg.WorkersPerMachine+s)
 			if err != nil {
 				return nil, err
 			}
 			workers = append(workers, w)
-			id++
 		}
 	}
 	if len(workers) == 0 {

@@ -20,7 +20,7 @@ undoc=$(
     for f in internal/metrics/*.go internal/serve/*.go internal/ckpt/*.go \
             internal/telemetry/*.go \
             internal/plan/*.go internal/plan/benchfmt/*.go internal/artifact/*.go \
-            internal/ps/member.go internal/train/elastic.go; do
+            internal/ps/member.go internal/train/elastic.go internal/train/dglke.go; do
         case "$f" in *_test.go) continue ;; esac
         awk -v file="$f" '
             /^(func|type) [A-Z]/ || /^func \([^)]*\) [A-Z]/ || /^(var|const) [A-Z]/ {
